@@ -35,7 +35,12 @@ def _vertex_cap(cap: int | None) -> int:
     if cap is not None:
         return cap
     env = os.environ.get(_CAP_ENV)
-    return int(env) if env else DEFAULT_VERTEX_CAP
+    if not env:
+        return DEFAULT_VERTEX_CAP
+    try:
+        return int(env)
+    except ValueError:
+        raise GraphError(f"{_CAP_ENV} must be an integer, got {env!r}") from None
 
 
 def is_k_colorable(g: Graph, k: int, deadline: Deadline | None = None) -> Coloring | None:

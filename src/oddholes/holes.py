@@ -146,15 +146,23 @@ def girth(g: Graph) -> int | None:
 # ---------------------------------------------------------------------------
 # induced-cycle search
 #
-# DFS over induced paths anchored at the cycle's minimum vertex.  A path
-# (s, v1, ..., vt) is extended only with vertices w > s that are adjacent to
-# the tip and to no interior vertex; a vertex adjacent to the anchor closes a
-# cycle and is never extended past.  Each induced cycle is reported exactly
-# once, in canonical form: minimum vertex first, oriented toward its smaller
-# neighbor.
+# One engine for every induced-cycle and induced-path search.  It grows
+# induced paths from ``path0`` (its first vertex is the anchor) on an
+# explicit stack, so depth is not bounded by the recursion limit.  A frame
+# holds the tip's sorted-neighbor iterator and the path's interior (all but
+# anchor and tip).  A path is extended only with vertices above ``floor``,
+# inside ``allowed``, adjacent to the tip and to no interior vertex; a
+# vertex adjacent to the anchor closes a cycle and is never extended past.
+#
+# From a single vertex s with floor s, each induced cycle whose minimum is
+# s is reported once, canonically: minimum first, oriented toward its
+# smaller neighbor.  From an edge (u, v) it reports induced cycles through
+# that edge; from a non-edge (v, u) it reports induced u-v paths, as an
+# induced path closed by the pair of its ends is an induced cycle through
+# a non-edge.
 
 
-def _search_cycles(
+def induced_cycle_search(
     g: Graph,
     path0: list[int],
     *,
@@ -162,58 +170,59 @@ def _search_cycles(
     max_len: int | None = None,
     exact: int | None = None,
     allowed: frozenset[int] | set[int] | None = None,
+    dist: dict[int, int] | None = None,
     deadline: Deadline | None = None,
 ) -> Iterator[tuple[int, ...]]:
+    """Induced cycles extending ``path0``, in depth-first order.
+
+    ``exact`` fixes the cycle length, ``max_len`` bounds it.  With ``exact``,
+    ``dist`` maps vertices to their distance from the anchor (computed over
+    the whole graph when omitted) and prunes paths that cannot close in time.
+    """
     anchor = path0[0]
     anchor_adj = g.neighbors(anchor)
-    dist_to_anchor = bfs_distances(g, [anchor]) if exact is not None else None
+    if exact is not None and dist is None:
+        dist = bfs_distances(g, [anchor])
     canonical = len(path0) == 1
     path = list(path0)
-
-    def closes_ok(w: int) -> bool:
-        length = len(path) + 1
-        if length < 3:
-            return False
-        if exact is not None:
-            if length != exact:
-                return False
-        elif max_len is not None and length > max_len:
-            return False
-        return not canonical or path[1] < w
-
-    def may_extend_to(w: int) -> bool:
-        length = len(path) + 1
-        if exact is not None:
-            if length + 1 > exact:
-                return False
-            # The rest of the cycle from w back to the anchor spends
-            # exact - length + 1 edges.
-            d = dist_to_anchor.get(w)
-            return d is not None and d <= exact - length + 1
-        return max_len is None or length + 1 <= max_len
-
-    def dfs() -> Iterator[tuple[int, ...]]:
-        check_deadline(deadline)
-        tip = path[-1]
-        interior = path[1:-1]
-        for w in sorted(g.neighbors(tip)):
+    check_deadline(deadline)
+    stack = [(iter(sorted(g.neighbors(path[-1]))), path[1:-1])]
+    while stack:
+        candidates, interior = stack[-1]
+        for w in candidates:
             if w <= floor or w in path:
                 continue
             if allowed is not None and w not in allowed:
                 continue
             if any(g.has_edge(w, x) for x in interior):
                 continue
+            length = len(path) + 1
             # The path's second vertex is anchor-adjacent by nature (it is a
             # cycle edge); any later anchor-adjacent vertex can only close.
             if len(path) >= 2 and w in anchor_adj:
-                if closes_ok(w):
+                if exact is not None:
+                    if length != exact:
+                        continue
+                elif max_len is not None and length > max_len:
+                    continue
+                if not canonical or path[1] < w:
                     yield tuple(path) + (w,)
-            elif may_extend_to(w):
-                path.append(w)
-                yield from dfs()
-                path.pop()
-
-    yield from dfs()
+                continue
+            if exact is not None:
+                # The rest of the cycle from w back to the anchor spends
+                # exact - length + 1 edges, at least two of them.
+                d = dist.get(w)
+                if length + 1 > exact or d is None or d > exact - length + 1:
+                    continue
+            elif max_len is not None and length + 1 > max_len:
+                continue
+            path.append(w)
+            check_deadline(deadline)
+            stack.append((iter(sorted(g.neighbors(w))), path[1:-1]))
+            break
+        else:
+            stack.pop()
+            path.pop()
 
 
 def _iter_min_anchored(
@@ -230,7 +239,7 @@ def _iter_min_anchored(
             allowed = allowed_by_anchor(s)
             if allowed is None:
                 continue
-        yield from _search_cycles(
+        yield from induced_cycle_search(
             g, [s], floor=s, max_len=max_len, exact=exact, allowed=allowed, deadline=deadline
         )
 
@@ -259,7 +268,7 @@ def induced_cycles_of_length(
     the smallest anchor that has any, which contain the canonical minimum)."""
     out: list[tuple[int, ...]] = []
     for s in range(g.n):
-        hits = list(_search_cycles(g, [s], floor=s, exact=length, deadline=deadline))
+        hits = list(induced_cycle_search(g, [s], floor=s, exact=length, deadline=deadline))
         out.extend(hits)
         if hits and first_anchor_only:
             break
@@ -326,7 +335,7 @@ def find_long_odd_hole(
         hits: list[tuple[int, ...]] = []
         for s in sorted(cores):
             hits = list(
-                _search_cycles(
+                induced_cycle_search(
                     g, [s], floor=s, exact=length, allowed=cores[s], deadline=deadline
                 )
             )
@@ -347,7 +356,7 @@ def induced_cycle_through_edge(
     """Some induced cycle of exactly this length traversing edge (u, v), or None."""
     if not g.has_edge(u, v):
         raise GraphError(f"({u}, {v}) is not an edge")
-    for cyc in _search_cycles(g, [u, v], floor=-1, exact=length, deadline=deadline):
+    for cyc in induced_cycle_search(g, [u, v], floor=-1, exact=length, deadline=deadline):
         return cyc
     return None
 
@@ -362,7 +371,7 @@ def induced_odd_cycle_through_edge(
     core = _two_core(g, comp)
     if u not in core or v not in core:
         return None
-    for cyc in _search_cycles(
+    for cyc in induced_cycle_search(
         g, [u, v], floor=-1, max_len=len(core), allowed=frozenset(core), deadline=deadline
     ):
         if len(cyc) % 2 == 1 and len(cyc) >= min_len:

@@ -33,7 +33,7 @@ from .graph import (
     is_bipartite_subset,
     is_induced_path,
 )
-from .holes import ClassSpec, class_membership
+from .holes import ClassSpec, class_membership, induced_cycle_search
 from .util import Deadline, check_deadline
 
 STABLE = "stable"
@@ -205,6 +205,14 @@ def _choose_spine(g: Graph, levels: list[set[int]]) -> list[int]:
     return spine
 
 
+def _prune_and_pick_spine(g: Graph, levels: list[set[int]]) -> SpineLevelling:
+    """Prune ``levels`` in place to dependent-having vertices and pick a spine."""
+    _prune_dependent_free(g, levels)
+    spine = _choose_spine(g, levels)
+    base = Levelling(tuple(frozenset(level) for level in levels), g)
+    return SpineLevelling(base, tuple(spine))
+
+
 def prune_to_dependent_spine(g: Graph, lv: Levelling) -> SpineLevelling:
     """Prune dependent-free vertices below the last level and pick a spine.
 
@@ -218,11 +226,7 @@ def prune_to_dependent_spine(g: Graph, lv: Levelling) -> SpineLevelling:
         raise GraphError("levelling must cover every vertex of the graph")
     if len(components_of_subset(g, lv.levels[-1])) > 1:
         raise GraphError("last level must induce a connected subgraph")
-    levels = [set(level) for level in lv.levels]
-    _prune_dependent_free(g, levels)
-    spine = _choose_spine(g, levels)
-    base = Levelling(tuple(frozenset(level) for level in levels), g)
-    return SpineLevelling(base, tuple(spine))
+    return _prune_and_pick_spine(g, [set(level) for level in lv.levels])
 
 
 def validate_spine(g: Graph, sp: SpineLevelling) -> str | None:
@@ -529,44 +533,6 @@ def _level_pair(lv: Levelling, u: int, v: int) -> int:
     return level_of[u]
 
 
-def _exact_induced_path(
-    g: Graph,
-    u: int,
-    v: int,
-    edge_count: int,
-    interior: set[int],
-    dist_to_v: dict[int, int],
-    deadline: Deadline | None,
-) -> tuple[int, ...] | None:
-    path = [u]
-
-    def dfs() -> tuple[int, ...] | None:
-        check_deadline(deadline)
-        tip = path[-1]
-        if len(path) == edge_count:
-            if g.has_edge(tip, v) and not any(g.has_edge(v, x) for x in path[:-1]):
-                return tuple(path) + (v,)
-            return None
-        for w in sorted(g.neighbors(tip) & interior):
-            if w in path:
-                continue
-            if any(g.has_edge(w, x) for x in path[:-1]):
-                continue
-            if g.has_edge(w, v) and len(path) + 1 != edge_count:
-                continue
-            d = dist_to_v.get(w)
-            if d is None or d > edge_count - len(path):
-                continue
-            path.append(w)
-            result = dfs()
-            path.pop()
-            if result is not None:
-                return result
-        return None
-
-    return dfs()
-
-
 def _constrained_induced_path(
     g: Graph,
     u: int,
@@ -592,9 +558,13 @@ def _constrained_induced_path(
             continue
         if parity == "odd" and edges % 2 == 0:
             continue
-        found = _exact_induced_path(g, u, v, edges, interior, dist_to_v, deadline)
-        if found is not None:
-            return found
+        # An induced u-v path of this many edges is an induced cycle of one
+        # more vertex through the non-edge v-u, reported from v as (v, u, ...).
+        for cyc in induced_cycle_search(
+            g, [v, u], floor=-1, exact=edges + 1, allowed=interior, dist=dist_to_v,
+            deadline=deadline,
+        ):
+            return cyc[1:] + cyc[:1]
     return None
 
 
@@ -683,10 +653,9 @@ def weak_stabilize(
     levels = [set(level) for level in lv.levels]
     comps = components_of_subset(g, levels[k])
     levels[k] = set(max(comps, key=lambda K: (chi_set(K), -min(K))))
-    _prune_dependent_free(g, levels)
-    spine = _choose_spine(g, levels)
-    base = Levelling(tuple(frozenset(level) for level in levels), g)
-    span = base.union()
+    sp = _prune_and_pick_spine(g, levels)
+    spine = sp.spine
+    span = sp.base.union()
 
     # Lift cleanliness with the licking search, run on the reduced span.
     sub, to_sub, from_sub = induced_subgraph(g, span)
@@ -701,7 +670,6 @@ def weak_stabilize(
         )
     c1 = {from_sub[x] for x in lick.core}
 
-    sp = SpineLevelling(base, tuple(spine))
     try:
         types = classify_types(g, sp)
     except GraphError:

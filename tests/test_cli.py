@@ -197,3 +197,8 @@ class TestUsageErrors:
         path = tmp_path / "bad.g6"
         path.write_text("A!\n")
         assert main(["chroma", str(path)]) == 2
+
+    def test_malformed_exact_cap(self, corpus_dir, capsys, monkeypatch):
+        monkeypatch.setenv("ODDHOLES_EXACT_CAP", "abc")
+        assert main(["chroma", str(corpus_dir / "petersen.g6")]) == 2
+        assert "ODDHOLES_EXACT_CAP" in capsys.readouterr().err

@@ -146,6 +146,54 @@ class TestFindLongOddHole:
             induced_odd_cycle_through_edge(g, 0, 3, 5)
 
 
+class TestSearchDepth:
+    """Searches deeper than the interpreter's recursion limit."""
+
+    def test_cycle_through_edge_of_c3001(self):
+        from oddholes.holes import induced_cycle_through_edge
+
+        assert induced_cycle_through_edge(cycle_graph(3001), 0, 1, 3001) == tuple(range(3001))
+
+    def test_odd_cycle_through_edge_of_c3001(self):
+        from oddholes.holes import induced_odd_cycle_through_edge
+
+        assert induced_odd_cycle_through_edge(cycle_graph(3001), 0, 1, 9) == tuple(range(3001))
+
+
+class TestAgainstNetworkx:
+    """Differential check against networkx's chordless-cycle enumeration on
+    sparse G(n, c/n); the cases cover a 9-hole, an 11-hole, a 13-hole beyond
+    the enumeration bound, and no long odd hole at all."""
+
+    CASES = [(40, 2.5, 2), (60, 2.0, 1), (80, 2.0, 2), (100, 1.5, 1), (100, 1.5, 2), (120, 2.5, 2)]
+
+    @pytest.mark.parametrize("n, c, seed", CASES)
+    def test_sparse_random_graph(self, n, c, seed):
+        import random
+
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(f"{n}/{c}/{seed}")
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < c / n]
+        g = Graph(n, edges)
+        nxg = nx.Graph(edges)
+        nxg.add_nodes_from(range(n))
+        expected = [frozenset(cyc) for cyc in nx.chordless_cycles(nxg, length_bound=12)]
+        got = [frozenset(w.cycle) for w in enumerate_induced_cycles(g, 12)]
+        assert sorted(map(sorted, got)) == sorted(map(sorted, expected))
+
+        def odd_lengths(cycles):
+            return [len(cyc) for cyc in cycles if len(cyc) % 2 and len(cyc) >= 9]
+
+        hole = find_long_odd_hole(g, 9)
+        odd = odd_lengths(expected)
+        if not odd:
+            # Beyond the bound: enumerate up to the reported length, or
+            # without bound (cheap at these densities) when none is reported.
+            bound = len(hole) if hole is not None else None
+            odd = odd_lengths(nx.chordless_cycles(nxg, length_bound=bound))
+        assert (None if hole is None else len(hole)) == (min(odd) if odd else None)
+
+
 class TestClassMembership:
     def test_c9_not_in_g2(self):
         verdict = class_membership(cycle_graph(9), ClassSpec("G", 2))

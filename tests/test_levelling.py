@@ -322,6 +322,11 @@ class TestCeilingFloorPaths:
                                     assert set(got[1:-1]) <= pool
 
 
+    def test_path_deeper_than_the_recursion_limit(self):
+        g = cycle_graph(2001)
+        assert floor_path(g, bfs_layers(g, 0), 1, 2000) == tuple(range(1, 2001))
+
+
 class TestWeakStabilize:
     def test_bipartite_identity(self):
         g = cycle_graph(6)
