@@ -9,7 +9,7 @@ format description); the edge-list format ("n <count>" header, then one
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 class GraphError(Exception):
@@ -25,10 +25,11 @@ class Graph:
 
     Instances are immutable after construction and safe to share across
     concurrent tasks; every operation in this package is a pure function
-    of its inputs.
+    of its inputs.  The bitmask adjacency is derived from the edges on
+    first use; two tasks racing to build it build the same value.
     """
 
-    __slots__ = ("n", "_adj", "_m")
+    __slots__ = ("n", "_adj", "_m", "_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 0:
@@ -47,6 +48,7 @@ class Graph:
         self.n = n
         self._adj = tuple(frozenset(s) for s in adj)
         self._m = m
+        self._masks: tuple[int, ...] | None = None
 
     @property
     def m(self) -> int:
@@ -55,6 +57,13 @@ class Graph:
 
     def neighbors(self, v: int) -> frozenset[int]:
         return self._adj[v]
+
+    def neighbor_masks(self) -> tuple[int, ...]:
+        """Adjacency as int bitmasks: bit ``w`` of entry ``v`` is set when
+        v-w is an edge.  Built on first use and kept with the graph."""
+        if self._masks is None:
+            self._masks = tuple(vertex_mask(nbrs) for nbrs in self._adj)
+        return self._masks
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
@@ -234,6 +243,26 @@ def write_graph(g: Graph, fmt: str = "graph6") -> str:
     if fmt == "edge-list":
         return to_edge_list(g)
     raise ParseError(f"unknown graph format {fmt!r}")
+
+
+# ---------------------------------------------------------------------------
+# vertex sets as int bitmasks (bit v stands for vertex v)
+
+
+def vertex_mask(vertices: Iterable[int]) -> int:
+    """The mask with bit v set for each given vertex v."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+def mask_vertices(mask: int) -> Iterator[int]:
+    """The vertices of a nonnegative mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,8 @@ from .graph import (
     bfs_distances,
     components,
     is_bipartite_subset,
+    mask_vertices,
+    vertex_mask,
 )
 from .util import Deadline, check_deadline
 
@@ -148,11 +150,13 @@ def girth(g: Graph) -> int | None:
 #
 # One engine for every induced-cycle and induced-path search.  It grows
 # induced paths from ``path0`` (its first vertex is the anchor) on an
-# explicit stack, so depth is not bounded by the recursion limit.  A frame
-# holds the tip's sorted-neighbor iterator and the path's interior (all but
-# anchor and tip).  A path is extended only with vertices above ``floor``,
-# inside ``allowed``, adjacent to the tip and to no interior vertex; a
-# vertex adjacent to the anchor closes a cycle and is never extended past.
+# explicit stack, so depth is not bounded by the recursion limit.  Vertex
+# sets are int bitmasks over ``Graph.neighbor_masks``.  Each depth keeps
+# ``blocked``, the path's vertices and the neighbors of its interior (all
+# but anchor and tip), and the tip's candidates not yet tried: its
+# neighbors above ``floor``, inside ``allowed`` and not blocked.  Candidates
+# are taken in increasing order; a candidate adjacent to the anchor closes
+# a cycle and is never extended past.
 #
 # From a single vertex s with floor s, each induced cycle whose minimum is
 # s is reported once, canonically: minimum first, oriented toward its
@@ -169,79 +173,71 @@ def induced_cycle_search(
     floor: int,
     max_len: int | None = None,
     exact: int | None = None,
-    allowed: frozenset[int] | set[int] | None = None,
+    allowed: int | None = None,
     dist: dict[int, int] | None = None,
     deadline: Deadline | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Induced cycles extending ``path0``, in depth-first order.
 
-    ``exact`` fixes the cycle length, ``max_len`` bounds it.  With ``exact``,
+    ``exact`` fixes the cycle length, ``max_len`` bounds it.  ``allowed`` is
+    a vertex mask the rest of the cycle must stay in.  With ``exact``,
     ``dist`` maps vertices to their distance from the anchor (computed over
     the whole graph when omitted) and prunes paths that cannot close in time.
     """
+    adj = g.neighbor_masks()
     anchor = path0[0]
-    anchor_adj = g.neighbors(anchor)
+    anchor_adj = adj[anchor]
     if exact is not None and dist is None:
         dist = bfs_distances(g, [anchor])
     canonical = len(path0) == 1
     path = list(path0)
+    open_mask = -1 << (floor + 1)
+    if allowed is not None:
+        open_mask &= allowed
+    blocked = vertex_mask(path)
+    for x in path[1:-1]:
+        blocked |= adj[x]
     check_deadline(deadline)
-    stack = [(iter(sorted(g.neighbors(path[-1]))), path[1:-1])]
-    while stack:
-        candidates, interior = stack[-1]
-        for w in candidates:
-            if w <= floor or w in path:
-                continue
-            if allowed is not None and w not in allowed:
-                continue
-            if any(g.has_edge(w, x) for x in interior):
-                continue
-            length = len(path) + 1
-            # The path's second vertex is anchor-adjacent by nature (it is a
-            # cycle edge); any later anchor-adjacent vertex can only close.
-            if len(path) >= 2 and w in anchor_adj:
-                if exact is not None:
-                    if length != exact:
-                        continue
-                elif max_len is not None and length > max_len:
-                    continue
-                if not canonical or path[1] < w:
-                    yield tuple(path) + (w,)
-                continue
-            if exact is not None:
-                # The rest of the cycle from w back to the anchor spends
-                # exact - length + 1 edges, at least two of them.
-                d = dist.get(w)
-                if length + 1 > exact or d is None or d > exact - length + 1:
-                    continue
-            elif max_len is not None and length + 1 > max_len:
-                continue
-            path.append(w)
-            check_deadline(deadline)
-            stack.append((iter(sorted(g.neighbors(w))), path[1:-1]))
-            break
-        else:
-            stack.pop()
+    blocks = [blocked]
+    todo = [adj[path[-1]] & open_mask & ~blocked]
+    while todo:
+        rest = todo[-1]
+        if not rest:
+            todo.pop()
+            blocks.pop()
             path.pop()
-
-
-def _iter_min_anchored(
-    g: Graph,
-    *,
-    max_len: int | None = None,
-    exact: int | None = None,
-    allowed_by_anchor=None,
-    deadline: Deadline | None = None,
-) -> Iterator[tuple[int, ...]]:
-    for s in range(g.n):
-        allowed = None
-        if allowed_by_anchor is not None:
-            allowed = allowed_by_anchor(s)
-            if allowed is None:
+            continue
+        bit = rest & -rest
+        todo[-1] = rest ^ bit
+        w = bit.bit_length() - 1
+        length = len(path) + 1
+        # The path's second vertex is anchor-adjacent by nature (it is a
+        # cycle edge); any later anchor-adjacent vertex can only close.
+        if len(path) >= 2 and anchor_adj & bit:
+            if exact is not None:
+                if length != exact:
+                    continue
+            elif max_len is not None and length > max_len:
                 continue
-        yield from induced_cycle_search(
-            g, [s], floor=s, max_len=max_len, exact=exact, allowed=allowed, deadline=deadline
-        )
+            if not canonical or path[1] < w:
+                yield tuple(path) + (w,)
+            continue
+        if exact is not None:
+            # The rest of the cycle from w back to the anchor spends
+            # exact - length + 1 edges, at least two of them.
+            d = dist.get(w)
+            if length + 1 > exact or d is None or d > exact - length + 1:
+                continue
+        elif max_len is not None and length + 1 > max_len:
+            continue
+        # The tip joins the interior unless it is the anchor.
+        blocked = blocks[-1] | bit
+        if len(path) >= 2:
+            blocked |= adj[path[-1]]
+        path.append(w)
+        check_deadline(deadline)
+        blocks.append(blocked)
+        todo.append(adj[w] & open_mask & ~blocked)
 
 
 def enumerate_induced_cycles(
@@ -251,7 +247,11 @@ def enumerate_induced_cycles(
     if max_len < 3:
         raise GraphError(f"max_len must be >= 3, got {max_len}")
     found = sorted(
-        _iter_min_anchored(g, max_len=max_len, deadline=deadline),
+        (
+            cyc
+            for s in range(g.n)
+            for cyc in induced_cycle_search(g, [s], floor=s, max_len=max_len, deadline=deadline)
+        ),
         key=lambda c: (len(c), c),
     )
     return [HoleWitness(TRIANGLE if len(c) == 3 else K_HOLE, c) for c in found]
@@ -285,16 +285,50 @@ def shortest_cycle(g: Graph, deadline: Deadline | None = None) -> tuple[int, ...
     return hits[0]
 
 
+def _peel(g: Graph, core: set[int], degree: dict[int, int], queue: list[int]) -> list[int]:
+    """Remove the queued vertices from ``core``, then every vertex left with
+    at most one neighbor in it; ``degree`` counts neighbors in ``core``.
+    Returns the removed vertices."""
+    removed = []
+    while queue:
+        v = queue.pop()
+        if v not in core:
+            continue
+        core.discard(v)
+        removed.append(v)
+        for w in g.neighbors(v):
+            if w in core:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    queue.append(w)
+    return removed
+
+
 def _two_core(g: Graph, within: Iterable[int]) -> set[int]:
     core = set(within)
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(core):
-            if len(g.neighbors(v) & core) <= 1:
-                core.discard(v)
-                changed = True
+    degree = {v: len(g.neighbors(v) & core) for v in core}
+    _peel(g, core, degree, [v for v, d in degree.items() if d <= 1])
     return core
+
+
+def _anchor_pools(g: Graph, within: Iterable[int]) -> list[tuple[int, int]]:
+    """``(s, pool)`` for every anchor s whose pool holds it, in increasing s.
+
+    The pool (a vertex mask) is the 2-core of ``within`` restricted to
+    vertices >= s: it holds every cycle inside ``within`` whose least vertex
+    is s.  The 2-core of a set minus s is the 2-core of its 2-core minus s,
+    so each pool is peeled from the one before it.
+    """
+    core = _two_core(g, within)
+    degree = {v: len(g.neighbors(v) & core) for v in core}
+    pool = vertex_mask(core)
+    pools = []
+    for s in sorted(core):
+        if s not in core:
+            continue
+        pools.append((s, pool))
+        pool ^= vertex_mask(_peel(g, core, degree, [s]))
+    return pools
 
 
 def find_long_odd_hole(
@@ -302,47 +336,44 @@ def find_long_odd_hole(
 ) -> tuple[int, ...] | None:
     """The shortest induced odd cycle of length >= min_len, canonically least.
 
-    Bipartite components are skipped outright; within the rest the search is
-    restricted to the 2-core.  Returns None when no such hole exists (decided
-    exhaustively up to the number of vertices).
+    Bipartite components are skipped outright.  Each anchor s searches only
+    its pool, the 2-core of the rest restricted to vertices >= s (which
+    holds every cycle whose least vertex is s); anchors outside their pool
+    are skipped.  An existence pass finds some long odd hole; a length scan
+    then tries each odd length upward, pruned by distances to s within the
+    pool.  Pools and distance maps are computed once per anchor.  Returns
+    None when no such hole exists (decided exhaustively up to the number
+    of vertices).
     """
     min_len = max(min_len, 3)
     if min_len % 2 == 0:
         min_len += 1
-    cores: dict[int, frozenset[int]] = {}
-    for comp in components(g):
-        if is_bipartite_subset(g, comp):
-            continue
-        core = frozenset(_two_core(g, comp))
-        for v in core:
-            cores[v] = core
-    if not cores:
-        return None
-
-    def allowed_by_anchor(s: int):
-        return cores.get(s)
-
+    within = [v for comp in components(g) if not is_bipartite_subset(g, comp) for v in comp]
+    pools = _anchor_pools(g, within)
     upper = None
-    for cyc in _iter_min_anchored(
-        g, max_len=g.n, allowed_by_anchor=allowed_by_anchor, deadline=deadline
-    ):
-        if len(cyc) % 2 == 1 and len(cyc) >= min_len:
-            upper = len(cyc)
+    for s, pool in pools:
+        for cyc in induced_cycle_search(
+            g, [s], floor=s, max_len=g.n, allowed=pool, deadline=deadline
+        ):
+            if len(cyc) % 2 == 1 and len(cyc) >= min_len:
+                upper = len(cyc)
+                break
+        if upper is not None:
             break
     if upper is None:
         return None
+    dists: dict[int, dict[int, int]] = {}
     for length in range(min_len, upper + 1, 2):
-        hits: list[tuple[int, ...]] = []
-        for s in sorted(cores):
+        for s, pool in pools:
+            if s not in dists:
+                dists[s] = bfs_distances(g, [s], within=set(mask_vertices(pool)))
             hits = list(
                 induced_cycle_search(
-                    g, [s], floor=s, exact=length, allowed=cores[s], deadline=deadline
+                    g, [s], floor=s, exact=length, allowed=pool, dist=dists[s], deadline=deadline
                 )
             )
             if hits:
-                break
-        if hits:
-            return min(hits)
+                return min(hits)
     raise AssertionError("existence pass found a hole the length scan missed")
 
 
@@ -372,7 +403,7 @@ def induced_odd_cycle_through_edge(
     if u not in core or v not in core:
         return None
     for cyc in induced_cycle_search(
-        g, [u, v], floor=-1, max_len=len(core), allowed=frozenset(core), deadline=deadline
+        g, [u, v], floor=-1, max_len=len(core), allowed=vertex_mask(core), deadline=deadline
     ):
         if len(cyc) % 2 == 1 and len(cyc) >= min_len:
             return cyc

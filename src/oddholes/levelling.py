@@ -32,6 +32,7 @@ from .graph import (
     induced_subgraph,
     is_bipartite_subset,
     is_induced_path,
+    vertex_mask,
 )
 from .holes import ClassSpec, class_membership, induced_cycle_search
 from .util import Deadline, check_deadline
@@ -553,6 +554,7 @@ def _constrained_induced_path(
     shortest = dist_to_v.get(u)
     if shortest is None:
         return None
+    allowed = vertex_mask(interior)
     for edges in range(shortest, len(interior) + 2):
         if parity == "even" and edges % 2 == 1:
             continue
@@ -561,7 +563,7 @@ def _constrained_induced_path(
         # An induced u-v path of this many edges is an induced cycle of one
         # more vertex through the non-edge v-u, reported from v as (v, u, ...).
         for cyc in induced_cycle_search(
-            g, [v, u], floor=-1, exact=edges + 1, allowed=interior, dist=dist_to_v,
+            g, [v, u], floor=-1, exact=edges + 1, allowed=allowed, dist=dist_to_v,
             deadline=deadline,
         ):
             return cyc[1:] + cyc[:1]

@@ -2,15 +2,19 @@
 
 These deliberately share no code with the package's search routines: the
 cycle enumerator checks every vertex subset, and the chromatic oracle
-enumerates raw color assignments.
+enumerates raw color assignments.  The set-based induced-cycle search and
+the sweeping 2-core are the package's earlier implementations, kept as
+references for the order and the results of their bitmask replacements.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import combinations, product
+from typing import Iterable, Iterator
 
 from oddholes import Graph
+from oddholes.graph import bfs_distances
 
 
 def naive_induced_cycles(g: Graph, max_len: int) -> set[tuple[int, ...]]:
@@ -56,3 +60,68 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
     return Graph(n, edges)
+
+
+def set_induced_cycle_search(
+    g: Graph,
+    path0: list[int],
+    *,
+    floor: int,
+    max_len: int | None = None,
+    exact: int | None = None,
+    allowed: set[int] | frozenset[int] | None = None,
+    dist: dict[int, int] | None = None,
+) -> Iterator[tuple[int, ...]]:
+    """Induced cycles extending ``path0`` in depth-first order, with path
+    membership, chords and the pool tested on sets."""
+    anchor = path0[0]
+    anchor_adj = g.neighbors(anchor)
+    if exact is not None and dist is None:
+        dist = bfs_distances(g, [anchor])
+    canonical = len(path0) == 1
+    path = list(path0)
+    stack = [(iter(sorted(g.neighbors(path[-1]))), path[1:-1])]
+    while stack:
+        candidates, interior = stack[-1]
+        for w in candidates:
+            if w <= floor or w in path:
+                continue
+            if allowed is not None and w not in allowed:
+                continue
+            if any(g.has_edge(w, x) for x in interior):
+                continue
+            length = len(path) + 1
+            if len(path) >= 2 and w in anchor_adj:
+                if exact is not None:
+                    if length != exact:
+                        continue
+                elif max_len is not None and length > max_len:
+                    continue
+                if not canonical or path[1] < w:
+                    yield tuple(path) + (w,)
+                continue
+            if exact is not None:
+                d = dist.get(w)
+                if length + 1 > exact or d is None or d > exact - length + 1:
+                    continue
+            elif max_len is not None and length + 1 > max_len:
+                continue
+            path.append(w)
+            stack.append((iter(sorted(g.neighbors(w))), path[1:-1]))
+            break
+        else:
+            stack.pop()
+            path.pop()
+
+
+def sweep_two_core(g: Graph, within: Iterable[int]) -> set[int]:
+    """The 2-core of the subgraph induced on ``within``, by repeated sweeps."""
+    core = set(within)
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(core):
+            if len(g.neighbors(v) & core) <= 1:
+                core.discard(v)
+                changed = True
+    return core

@@ -21,7 +21,13 @@ from oddholes import (
     witness_violates,
     GenSpec,
 )
-from naive_oracles import naive_induced_cycles, random_graph
+from oddholes.util import Deadline, DeadlineExceeded
+from naive_oracles import (
+    naive_induced_cycles,
+    random_graph,
+    set_induced_cycle_search,
+    sweep_two_core,
+)
 
 
 class TestGirth:
@@ -158,6 +164,124 @@ class TestSearchDepth:
         from oddholes.holes import induced_odd_cycle_through_edge
 
         assert induced_odd_cycle_through_edge(cycle_graph(3001), 0, 1, 9) == tuple(range(3001))
+
+
+class TestBitmaskEngine:
+    """The bitmask engine yields the same cycles in the same order as the
+    set-based search it replaced; ceiling/floor paths and the searches
+    through an edge keep the first hit, so order is part of the answer."""
+
+    @staticmethod
+    def _starts(g, rng):
+        s = rng.randrange(g.n)
+        edge = rng.choice(g.edges())
+        non_edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+        u, v = rng.choice(non_edges)
+        # (path0, floor): a vertex anchor, an edge, a non-edge.
+        return [([s], s), ([0], 0), (list(edge), -1), ([v, u], -1)]
+
+    def test_same_sequence_as_set_based_search(self):
+        import random
+
+        from oddholes.graph import bfs_distances, vertex_mask
+        from oddholes.holes import induced_cycle_search
+
+        hits = 0
+        for seed in range(16):
+            g = random_graph(16, 0.22 + 0.01 * (seed % 8), seed)
+            rng = random.Random(seed)
+            pool = {v for v in range(g.n) if rng.random() < 0.8}
+            for path0, floor in self._starts(g, rng):
+                pool_dist = bfs_distances(g, [path0[0]], within=pool | set(path0))
+                for kwargs in (
+                    {},
+                    {"max_len": 6},
+                    {"exact": 5},
+                    {"exact": 8},
+                    {"allowed": pool},
+                    {"max_len": 7, "allowed": pool},
+                    {"exact": 6, "allowed": pool},
+                    {"exact": 7, "allowed": pool, "dist": pool_dist},
+                ):
+                    expected = list(set_induced_cycle_search(g, path0, floor=floor, **kwargs))
+                    if "allowed" in kwargs:
+                        kwargs = dict(kwargs, allowed=vertex_mask(kwargs["allowed"]))
+                    got = list(induced_cycle_search(g, path0, floor=floor, **kwargs))
+                    assert got == expected, (seed, path0, kwargs)
+                    hits += len(got)
+        assert hits > 1000  # the cases exercise the search, not just empty pools
+
+    def test_two_core_matches_sweep(self):
+        import random
+
+        from oddholes.holes import _two_core
+
+        for seed in range(30):
+            g = random_graph(30, 0.04 + 0.005 * (seed % 10), seed)
+            rng = random.Random(seed)
+            within = [v for v in range(g.n) if rng.random() < 0.8]
+            assert _two_core(g, within) == sweep_two_core(g, within)
+
+    def test_anchor_pools_are_two_cores_above_the_anchor(self):
+        from oddholes.graph import mask_vertices
+        from oddholes.holes import _anchor_pools
+
+        for seed in range(20):
+            g = random_graph(30, 0.06 + 0.005 * (seed % 10), seed)
+            within = range(0, g.n, 1 + seed % 2)
+            expected = []
+            for s in range(g.n):
+                core = sweep_two_core(g, [v for v in within if v >= s])
+                if s in core:
+                    expected.append((s, core))
+            got = [(s, set(mask_vertices(pool))) for s, pool in _anchor_pools(g, within)]
+            assert got == expected
+
+
+class SearchBudget(Deadline):
+    """Counts search checks and stops the search after ``limit`` of them, so
+    a regression in search work fails fast instead of running on."""
+
+    def __init__(self, limit: int) -> None:
+        super().__init__(None)
+        self.limit = limit
+        self.checks = 0
+
+    def check(self) -> None:
+        self.checks += 1
+        if self.checks > self.limit:
+            raise DeadlineExceeded(f"more than {self.limit} search checks")
+
+
+class TestLongHoleWork:
+    """Long odd holes cost one exact-length search per odd length; anchor
+    pools and per-anchor distance maps keep that near L**2 checks."""
+
+    def test_c1001_in_g2(self):
+        # About 253k checks; one search per (length, anchor) with whole-graph
+        # distances runs past the limit.
+        budget = SearchBudget(400_000)
+        verdict = class_membership(cycle_graph(1001), ClassSpec("G", 2), budget)
+        assert verdict.witness.kind == "long-odd-hole"
+        assert verdict.witness.cycle == tuple(range(1001))
+
+    def test_planted_c151_with_pendant_trees(self):
+        import random
+
+        # About 6k checks (78k without anchor pools).
+        rng = random.Random(151)
+        length, n = 151, 302
+        edges = [(i, (i + 1) % length) for i in range(length)]
+        edges += [(rng.randrange(v), v) for v in range(length, n)]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        g = Graph(n, [(perm[u], perm[v]) for u, v in edges])
+        budget = SearchBudget(20_000)
+        verdict = class_membership(g, ClassSpec("G", 2), budget)
+        cycle = verdict.witness.cycle
+        assert set(cycle) == {perm[i] for i in range(length)}
+        assert is_induced_cycle(g, cycle) and len(cycle) == length
+        assert cycle[0] == min(cycle) and cycle[1] < cycle[-1]
 
 
 class TestAgainstNetworkx:

@@ -1,4 +1,14 @@
-from oddholes import ClassSpec, cycle_graph, petersen, to_graph6
+import pytest
+
+from oddholes import (
+    ClassSpec,
+    GenSpec,
+    InexactChiWarning,
+    cycle_graph,
+    generate_member,
+    petersen,
+    to_graph6,
+)
 from oddholes.verify import (
     CorpusReport,
     GraphRecord,
@@ -53,6 +63,37 @@ class TestVerifyGraph:
         record = verify_graph(petersen(), "x.g6", ClassSpec("G", 2), timeout=0.0)
         statuses = {p.status for p in record.properties}
         assert record.membership_status == "timeout" or "timeout" in statuses
+
+
+class TestOverExactCap:
+    """Bounds are proven by a proper colouring, so members above the exact
+    oracle's vertex cap verify; a property that needs the oracle records
+    ``error`` instead of raising."""
+
+    def test_g2_member_above_the_cap(self):
+        g = generate_member(GenSpec(ClassSpec("G", 2), 70, 0.03, 3)).graph
+        record = verify_graph(g, "G2_70_3.g6", ClassSpec("G", 2))
+        assert record.member is True and record.chi is None
+        assert [p.status for p in record.properties] == ["pass"] * 7
+        assert record.properties[-1].detail == "certified colors=3"
+
+    def test_oracle_cap_is_recorded_as_error(self, monkeypatch):
+        monkeypatch.setenv("ODDHOLES_EXACT_CAP", "1")
+        record = verify_graph(cycle_graph(7), "c7.g6", ClassSpec("G", 2))
+        statuses = {p.name: p.status for p in record.properties}
+        assert statuses["last_level_chi_le_104"] == "error"
+        assert statuses["chi_le_1456_certified"] == "pass"
+        last_level = next(p for p in record.properties if p.name == "last_level_chi_le_104")
+        assert last_level.detail.startswith("exact oracle unavailable: ")
+
+        # weak_stabilize falls back to a greedy bound, and says so.
+        with pytest.warns(InexactChiWarning):
+            record = verify_graph(cycle_graph(9), "c9.g6", ClassSpec("B", 4))
+        statuses = {p.name: p.status for p in record.properties}
+        assert statuses == {
+            "weak_stable_extraction_inequality": "error",
+            "chi_le_12ell_plus_8": "pass",
+        }
 
 
 class TestSpecsForFilename:
