@@ -9,11 +9,7 @@ seeded generation of class members.
 """
 
 from .coloring import (
-    CertifiedColoring,
     Coloring,
-    MembershipError,
-    certified_class_color,
-    class_bound,
     dsatur,
     four_color_a3,
     four_color_a3_components,
@@ -22,7 +18,6 @@ from .coloring import (
 from .exact import (
     ChromaResult,
     OracleCapExceeded,
-    chi,
     chi_of_subset,
     chromatic_number,
     is_k_colorable,
@@ -60,7 +55,6 @@ from .graph import (
     parse_edge_list,
     to_edge_list,
     to_graph6,
-    write_graph,
 )
 from .holes import (
     AttachmentProfile,
@@ -102,6 +96,14 @@ from .levelling import (
     weak_stabilize,
 )
 from .util import Deadline, DeadlineExceeded
-from .verify import CorpusReport, verify_corpus, verify_graph
+from .verify import (
+    CertifiedColoring,
+    CorpusReport,
+    MembershipError,
+    certified_class_color,
+    class_bound,
+    verify_corpus,
+    verify_graph,
+)
 
 __version__ = "0.1.0"

@@ -2,8 +2,10 @@
 
 All structured output is JSON on stdout (UTF-8, LF); human-oriented notes
 go to stderr.  Exit status: 0 success, 1 a property violation or bound
-failure was found, 2 usage or parse error.  The exact oracle's vertex cap
-can be overridden with the ODDHOLES_EXACT_CAP environment variable.
+failure was found, 2 usage or parse error, 3 internal error (any other
+exception, reported on stderr as ``internal error: <Type>: <message>``).
+The exact oracle's vertex cap can be overridden with the
+ODDHOLES_EXACT_CAP environment variable.
 """
 
 from __future__ import annotations
@@ -13,17 +15,12 @@ import json
 import sys
 from pathlib import Path
 
-from .coloring import (
-    MembershipError,
-    certified_class_color,
-    dsatur,
-    four_color_a3_components,
-)
+from .coloring import dsatur, four_color_a3_components
 from .exact import chromatic_number
 from .generate import GenSpec, corpus_filename, generate_member
 from .graph import Graph, GraphError, ParseError, parse_graph, to_graph6
 from .holes import ClassSpec, class_membership, enumerate_induced_cycles
-from .verify import verify_corpus
+from .verify import MembershipError, certified_class_color, verify_corpus
 
 
 def _emit(payload: dict) -> None:
@@ -161,7 +158,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     print(
         f"verified {summary['graphs']} graphs: {summary['pass']} pass, "
         f"{summary['fail']} fail, {summary['skip']} skip, "
-        f"{summary['timeout']} timeout",
+        f"{summary['timeout']} timeout, {summary['error']} error",
         file=sys.stderr,
     )
     return 1 if report.has_failures else 0
@@ -245,6 +242,9 @@ def main(argv: list[str] | None = None) -> int:
     except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -8,9 +8,16 @@ layer parity suffice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .graph import Graph, GraphError, bipartition_or_odd_cycle, components
+from .graph import (
+    Graph,
+    GraphError,
+    bfs_distances,
+    bipartition_or_odd_cycle,
+    components,
+    induced_subgraph,
+)
 
 
 @dataclass(frozen=True)
@@ -73,10 +80,12 @@ def four_color_a3(g: Graph) -> tuple[Coloring | None, tuple[int, ...] | None]:
         return Coloring({}), None
     if len(components(g)) != 1:
         raise GraphError("four_color_a3 requires a connected graph; color components separately")
-    from .levelling import bfs_layers
-
+    dist = bfs_distances(g, [0])
+    layers: list[list[int]] = [[] for _ in range(max(dist.values()) + 1)]
+    for v, d in dist.items():
+        layers[d].append(v)
     assignment: dict[int, int] = {}
-    for i, layer in enumerate(bfs_layers(g, 0).levels):
+    for i, layer in enumerate(layers):
         two_coloring, odd_cycle = bipartition_or_odd_cycle(g, layer)
         if odd_cycle is not None:
             return None, odd_cycle
@@ -88,8 +97,6 @@ def four_color_a3(g: Graph) -> tuple[Coloring | None, tuple[int, ...] | None]:
 
 def four_color_a3_components(g: Graph) -> tuple[Coloring | None, tuple[int, ...] | None]:
     """Apply the layered colorer per component and merge the colorings."""
-    from .graph import induced_subgraph
-
     merged: dict[int, int] = {}
     for comp in components(g):
         sub, _, from_sub = induced_subgraph(g, comp)
@@ -99,62 +106,3 @@ def four_color_a3_components(g: Graph) -> tuple[Coloring | None, tuple[int, ...]
         for v, c in coloring.assignment.items():
             merged[from_sub[v]] = c
     return Coloring(merged), None
-
-
-class MembershipError(GraphError):
-    """A bounded-coloring request was made for a graph outside the class."""
-
-    def __init__(self, witness) -> None:
-        super().__init__(f"graph is not a member of the requested class: {witness}")
-        self.witness = witness
-
-
-@dataclass(frozen=True)
-class CertifiedColoring:
-    """A coloring together with the chromatic bound that applies, if any."""
-
-    coloring: Coloring
-    bound: int | None
-    within: bool | None = field(default=None)
-
-
-def class_bound(cspec) -> int | None:
-    """The chromatic bound this package certifies for the class, if any.
-
-    Class G with ell = 2 carries the 1456 bound; class A with ell = 3 the
-    bound 4; class B with the seven-hole-free flag the bound 12*ell + 8.
-    Other classes get no asserted bound here (for class A with ell = 2 the
-    question is explicitly open).
-    """
-    if cspec.family == "G" and cspec.ell == 2:
-        return 1456
-    if cspec.family == "A" and cspec.ell == 3:
-        return 4
-    if cspec.family == "B" and cspec.seven_hole_free:
-        return 12 * cspec.ell + 8
-    return None
-
-
-def certified_class_color(g: Graph, cspec) -> CertifiedColoring:
-    """Color a verified class member and report whether the class bound held.
-
-    Raises :class:`MembershipError` carrying the witness when the graph is
-    not a member.  The strongest applicable constructive method is used
-    (the layered 4-coloring for class A, ell = 3), falling back to DSATUR.
-    """
-    from .holes import class_membership
-
-    verdict = class_membership(g, cspec)
-    if not verdict.member:
-        raise MembershipError(verdict.witness)
-    bound = class_bound(cspec)
-    if cspec.family == "A" and cspec.ell == 3:
-        coloring, evidence = four_color_a3_components(g)
-        if evidence is not None:
-            raise AssertionError(
-                f"layered colorer rejected a verified member; evidence {evidence}"
-            )
-    else:
-        coloring = dsatur(g)
-    within = None if bound is None else coloring.colors_used <= bound
-    return CertifiedColoring(coloring, bound, within)

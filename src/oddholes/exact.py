@@ -137,10 +137,6 @@ def chromatic_number(
     return ChromaResult(upper.colors_used, upper)
 
 
-def chi(g: Graph, cap: int | None = None, deadline: Deadline | None = None) -> int:
-    return chromatic_number(g, cap, deadline).chi
-
-
 def chi_of_subset(
     g: Graph,
     vertices: Iterable[int],

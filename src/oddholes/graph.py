@@ -237,14 +237,6 @@ def parse_graph(text: bytes | str, fmt: str = "graph6") -> Graph:
     raise ParseError(f"unknown graph format {fmt!r}")
 
 
-def write_graph(g: Graph, fmt: str = "graph6") -> str:
-    if fmt == "graph6":
-        return to_graph6(g)
-    if fmt == "edge-list":
-        return to_edge_list(g)
-    raise ParseError(f"unknown graph format {fmt!r}")
-
-
 # ---------------------------------------------------------------------------
 # vertex sets as int bitmasks (bit v stands for vertex v)
 

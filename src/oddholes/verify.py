@@ -8,16 +8,22 @@ exhausted search can never masquerade as a falsification.
 Report schema (version "1"): a JSON object with ``schema_version``,
 ``records`` (one per graph and class, ordered by filename), and
 ``summary`` counts.
+
+The paper's colouring theorems live in one table, :data:`THEOREMS`, read
+by the verify bound properties and by :func:`certified_class_color` (the
+CLI's ``color --class``).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from time import perf_counter
+from typing import Callable
 
-from .coloring import dsatur, four_color_a3_components, is_proper
+from .coloring import Coloring, dsatur, four_color_a3_components, is_proper
 from .exact import OracleCapExceeded, chi_of_subset, chromatic_number
 from .graph import (
     Graph,
@@ -255,7 +261,7 @@ def _prop_filtered_third_sphere_bipartite(g, cspec, ctx, deadline):
     return PASS, f"{checked} filtered spheres checked", None
 
 
-def _prop_third_sphere_chi_le_7(g, cspec, ctx, deadline):
+def _prop_third_sphere_chi_le(g, cspec, ctx, deadline, bound):
     levellings = _stable_bfs_levellings(g, ctx)
     if not levellings:
         return SKIP, "no stable BFS levelling found from any root", None
@@ -266,8 +272,8 @@ def _prop_third_sphere_chi_le_7(g, cspec, ctx, deadline):
             sphere = _sphere_within(g, last, z, 3)
             value = chi_of_subset(g, sphere, deadline=deadline)
             worst = max(worst, value)
-            if value > 7:
-                return FAIL, f"third sphere has chromatic number {value} > 7", {
+            if value > bound:
+                return FAIL, f"third sphere has chromatic number {value} > {bound}", {
                     "root": min(lv.levels[0]),
                     "z": z,
                     "sphere": sorted(sphere),
@@ -275,7 +281,7 @@ def _prop_third_sphere_chi_le_7(g, cspec, ctx, deadline):
     return PASS, f"max third-sphere chromatic number {worst}", None
 
 
-def _prop_last_level_chi_le_104(g, cspec, ctx, deadline):
+def _prop_last_level_chi_le(g, cspec, ctx, deadline, bound):
     levellings = _stable_bfs_levellings(g, ctx)
     if not levellings:
         return SKIP, "no stable BFS levelling found from any root", None
@@ -283,8 +289,8 @@ def _prop_last_level_chi_le_104(g, cspec, ctx, deadline):
     for lv in levellings:
         value = chi_of_subset(g, lv.levels[-1], deadline=deadline)
         worst = max(worst, value)
-        if value > 104:
-            return FAIL, f"last level has chromatic number {value} > 104", {
+        if value > bound:
+            return FAIL, f"last level has chromatic number {value} > {bound}", {
                 "root": min(lv.levels[0]),
                 "last_level": sorted(lv.levels[-1]),
             }
@@ -294,45 +300,28 @@ def _prop_last_level_chi_le_104(g, cspec, ctx, deadline):
     return PASS, detail, None
 
 
-def _exact_chi(g: Graph, ctx: dict, deadline) -> int:
-    """chi(g): the value verify_graph computed, else the exact oracle's."""
-    if ctx["chi"] is None:
-        ctx["chi"] = chromatic_number(g, deadline=deadline).chi
-    return ctx["chi"]
-
-
-def _prop_chi_le_1456_certified(g, cspec, ctx, deadline):
-    # verify_graph has already decided membership, so DSATUR's colouring,
-    # re-checked, certifies the bound; exact chi is needed only when DSATUR
-    # overshoots it.
-    coloring = dsatur(g)
-    if not is_proper(g, coloring):
-        return FAIL, "DSATUR coloring is not proper", None
-    if coloring.colors_used > 1456:
-        value = _exact_chi(g, ctx, deadline)
-        if value > 1456:
-            return FAIL, f"chromatic number {value} > 1456", {"chi": value}
-        return FAIL, "certified coloring not within the 1456 bound", {
-            "colors_used": coloring.colors_used,
-            "bound": 1456,
-        }
-    certified = f"certified colors={coloring.colors_used}"
-    if ctx["chi"] is None:
-        return PASS, certified, None
-    return PASS, f"chi={ctx['chi']}, {certified}", None
-
-
-def _prop_four_coloring_within_4(g, cspec, ctx, deadline):
-    coloring, evidence = four_color_a3_components(g)
-    if evidence is not None:
+def _prop_class_bound(g, cspec, ctx, deadline):
+    # verify_graph has already decided membership, so a proper colouring
+    # within the bound proves it: the row's colourer's, re-checked, or else
+    # the exact oracle's optimal one (chi colours, computed once per graph).
+    theorem = theorem_for(cspec)
+    if theorem.no_seven_hole and not cspec.seven_hole_free and _small_holes(g, ctx, 7):
+        return SKIP, "graph has a 7-hole; the bound does not apply", None
+    bound = theorem.bound(cspec.ell)
+    coloring, odd_cycle = theorem.colorer(g)
+    if odd_cycle is not None:
         return FAIL, "layered colorer found an odd cycle inside a BFS layer", {
-            "odd_cycle": list(evidence),
+            "odd_cycle": list(odd_cycle),
         }
-    if not is_proper(g, coloring):
-        return FAIL, "layered coloring is not proper", None
-    if coloring.colors_used > 4:
-        return FAIL, f"layered coloring used {coloring.colors_used} > 4 colors", None
-    return PASS, f"proper coloring with {coloring.colors_used} colors", None
+    colors = coloring.colors_used
+    if not is_proper(g, coloring) or colors > bound:
+        if ctx["chi"] is None:
+            ctx["chi"] = chromatic_number(g, deadline=deadline).chi
+        colors = ctx["chi"]
+        if colors > bound:
+            return FAIL, f"chromatic number {colors} > {bound}", {"chi": colors}
+    chi = "" if ctx["chi"] is None else f"chi={ctx['chi']}, "
+    return PASS, f"{chi}certified colors={colors}", None
 
 
 def _prop_weak_stable_extraction(g, cspec, ctx, deadline):
@@ -369,23 +358,6 @@ def _prop_weak_stable_extraction(g, cspec, ctx, deadline):
     return PASS, f"{checked} component levellings stabilized", None
 
 
-def _prop_chi_le_12ell_plus_8(g, cspec, ctx, deadline):
-    if not cspec.seven_hole_free and _small_holes(g, ctx, 7):
-        return SKIP, "graph has a 7-hole; the bound does not apply", None
-    bound = 12 * cspec.ell + 8
-    # A proper colouring within the bound proves it; exact chi is needed
-    # only when DSATUR's colouring does not.
-    coloring = dsatur(g)
-    if not is_proper(g, coloring) or coloring.colors_used > bound:
-        value = _exact_chi(g, ctx, deadline)
-        if value > bound:
-            return FAIL, f"chromatic number {value} > {bound}", {"chi": value}
-        return PASS, f"chi={value} <= {bound}", None
-    if ctx["chi"] is None:
-        return PASS, f"proper coloring with {coloring.colors_used} colors <= {bound}", None
-    return PASS, f"chi={ctx['chi']} <= {bound}", None
-
-
 def _prop_contained_in_looser_classes(g, cspec, ctx, deadline):
     for family in ("G", "A"):
         verdict = class_membership(g, ClassSpec(family, cspec.ell), deadline)
@@ -396,27 +368,112 @@ def _prop_contained_in_looser_classes(g, cspec, ctx, deadline):
     return PASS, f"contained in G{cspec.ell} and A{cspec.ell}", None
 
 
-def _suite_for(cspec: ClassSpec) -> list[tuple[str, object]]:
-    if cspec.family == "G" and cspec.ell == 2:
-        return [
-            ("bipartite_iff_no_5_or_7_hole", _prop_bipartite_iff_no_5_or_7_hole),
-            ("attachment_profiles_single_or_pair", _prop_attachment_profiles),
-            ("second_sphere_bipartite", _prop_second_sphere_bipartite),
-            ("filtered_third_sphere_bipartite", _prop_filtered_third_sphere_bipartite),
-            ("third_sphere_chi_le_7", _prop_third_sphere_chi_le_7),
-            ("last_level_chi_le_104", _prop_last_level_chi_le_104),
-            ("chi_le_1456_certified", _prop_chi_le_1456_certified),
-        ]
-    if cspec.family == "A" and cspec.ell == 3:
-        return [("four_coloring_within_4", _prop_four_coloring_within_4)]
-    if cspec.family == "B":
-        return [
-            ("weak_stable_extraction_inequality", _prop_weak_stable_extraction),
-            ("chi_le_12ell_plus_8", _prop_chi_le_12ell_plus_8),
-        ]
-    if cspec.family == "F":
-        return [("contained_in_looser_classes", _prop_contained_in_looser_classes)]
-    return []
+# ---------------------------------------------------------------------------
+# the paper's theorems: bounds, colourers and the property suite per class
+
+
+def _dsatur(g: Graph) -> tuple[Coloring, None]:
+    return dsatur(g), None
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """A colouring theorem of the paper and the checks verify runs for its class.
+
+    ``bound`` maps ell to the chromatic bound (None: none is proven), which
+    with ``no_seven_hole`` holds only for graphs without a 7-hole;
+    ``colorer`` returns a colouring, or an odd cycle showing the graph is
+    outside the class; ``properties`` are (name, check) pairs in report order.
+    """
+
+    bound: Callable[[int], int] | None
+    colorer: Callable[[Graph], tuple[Coloring | None, tuple[int, ...] | None]]
+    properties: tuple[tuple[str, Callable], ...]
+    no_seven_hole: bool = False
+
+
+# Keyed by (family, ell); ell None stands for every ell of the family.
+THEOREMS: dict[tuple[str, int | None], Theorem] = {
+    # G2 is 1456-colourable, through the lemmas on the spheres and the last
+    # level of a stable levelling.
+    ("G", 2): Theorem(lambda ell: 1456, _dsatur, (
+        ("bipartite_iff_no_5_or_7_hole", _prop_bipartite_iff_no_5_or_7_hole),
+        ("attachment_profiles_single_or_pair", _prop_attachment_profiles),
+        ("second_sphere_bipartite", _prop_second_sphere_bipartite),
+        ("filtered_third_sphere_bipartite", _prop_filtered_third_sphere_bipartite),
+        ("third_sphere_chi_le_7", partial(_prop_third_sphere_chi_le, bound=7)),
+        ("last_level_chi_le_104", partial(_prop_last_level_chi_le, bound=104)),
+        ("chi_le_1456_certified", _prop_class_bound),
+    )),
+    # A3 is 4-colourable: every BFS layer is bipartite.
+    ("A", 3): Theorem(lambda ell: 4, four_color_a3_components, (
+        ("four_coloring_within_4", _prop_class_bound),
+    )),
+    # 7-hole-free graphs in B_ell are (12 ell + 8)-colourable.
+    ("B", None): Theorem(lambda ell: 12 * ell + 8, _dsatur, (
+        ("weak_stable_extraction_inequality", _prop_weak_stable_extraction),
+        ("chi_le_12ell_plus_8", _prop_class_bound),
+    ), no_seven_hole=True),
+    ("F", None): Theorem(None, _dsatur, (
+        ("contained_in_looser_classes", _prop_contained_in_looser_classes),
+    )),
+}
+_NO_THEOREM = Theorem(None, _dsatur, ())
+
+
+def theorem_for(cspec: ClassSpec) -> Theorem:
+    """The row for the class's family and ell, else for its family, else an empty one."""
+    row = THEOREMS.get((cspec.family, cspec.ell))
+    return row or THEOREMS.get((cspec.family, None), _NO_THEOREM)
+
+
+def class_bound(cspec: ClassSpec) -> int | None:
+    """The chromatic bound the paper proves for the class, or None.
+
+    Class B gets its bound only with the seven-hole-free flag, the bound's
+    hypothesis; for class A with ell = 2 the question is open.
+    """
+    theorem = theorem_for(cspec)
+    if theorem.bound is None or (theorem.no_seven_hole and not cspec.seven_hole_free):
+        return None
+    return theorem.bound(cspec.ell)
+
+
+class MembershipError(GraphError):
+    """A bounded-coloring request was made for a graph outside the class."""
+
+    def __init__(self, witness) -> None:
+        super().__init__(f"graph is not a member of the requested class: {witness}")
+        self.witness = witness
+
+
+@dataclass(frozen=True)
+class CertifiedColoring:
+    """A coloring together with the chromatic bound that applies, if any."""
+
+    coloring: Coloring
+    bound: int | None
+    within: bool | None = None
+
+
+def certified_class_color(g: Graph, cspec: ClassSpec) -> CertifiedColoring:
+    """Color a verified class member and report whether the class bound held.
+
+    Raises :class:`MembershipError` carrying the witness when the graph is
+    not a member.  The colouring is the class's colourer's in
+    :data:`THEOREMS` (layered for class A, ell = 3; DSATUR otherwise).
+    """
+    verdict = class_membership(g, cspec)
+    if not verdict.member:
+        raise MembershipError(verdict.witness)
+    coloring, odd_cycle = theorem_for(cspec).colorer(g)
+    if odd_cycle is not None:
+        raise AssertionError(
+            f"layered colorer rejected a verified member; evidence {odd_cycle}"
+        )
+    bound = class_bound(cspec)
+    within = None if bound is None else coloring.colors_used <= bound
+    return CertifiedColoring(coloring, bound, within)
 
 
 _NAME_RE = re.compile(r"^([ABGF])(\d+)_")
@@ -447,8 +504,9 @@ def verify_graph(
         return record
     record.member = verdict.member
     record.membership_witness = _witness_dict(verdict.witness)
+    suite = theorem_for(cspec).properties
     if not verdict.member:
-        for name, _ in _suite_for(cspec):
+        for name, _ in suite:
             record.properties.append(
                 PropertyRecord(name, SKIP, "graph is not a member of the class")
             )
@@ -458,7 +516,7 @@ def verify_graph(
     except (DeadlineExceeded, GraphError):
         record.chi = None
     ctx: dict = {"chi": record.chi}
-    for name, fn in _suite_for(cspec):
+    for name, fn in suite:
         t0 = perf_counter()
         try:
             status, detail, witness = fn(g, cspec, ctx, Deadline(timeout))
@@ -479,22 +537,23 @@ def verify_corpus(
     seven_hole_free: bool = False,
     timeout: float | None = 30.0,
 ) -> CorpusReport:
-    """Check every .g6 file in a directory; unreadable files are recorded
-    and the run continues."""
+    """Check every .g6 file in a directory.  A file that cannot be read or
+    parsed, or whose name asks for an invalid class, is recorded in
+    ``file_errors`` and the run continues."""
     report = CorpusReport()
     root = Path(directory)
-    if family is not None and ell is None:
-        raise GraphError("a class parameter (ell) is required when a family is forced")
+    forced = None
+    if family is not None:
+        if ell is None:
+            raise GraphError("a class parameter (ell) is required when a family is forced")
+        forced = [ClassSpec(family, ell, seven_hole_free)]
     for path in sorted(root.glob("*.g6")):
         try:
             g = parse_graph6(path.read_text())
-        except (ParseError, OSError) as exc:
+            specs = forced or specs_for_filename(path.name)
+        except (GraphError, ParseError, OSError) as exc:
             report.file_errors.append({"file": path.name, "error": str(exc)})
             continue
-        if family is not None:
-            specs = [ClassSpec(family, ell, seven_hole_free)]
-        else:
-            specs = specs_for_filename(path.name)
         for cspec in specs:
             report.records.append(verify_graph(g, path.name, cspec, timeout))
     return report

@@ -165,6 +165,20 @@ class TestGenAndVerify:
         d.mkdir()
         assert main(["verify", str(d), "--class", "G"]) == 2
 
+    def test_verify_badly_named_file_and_error_count(self, tmp_path, capsys):
+        d = tmp_path / "corpus"
+        d.mkdir()
+        write_g6(d / "G1_7_0.g6", cycle_graph(7))
+        write_g6(d / "G2_7_0.g6", cycle_graph(7))
+        assert main(["verify", str(d)]) == 0
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["file_errors"][0]["file"] == "G1_7_0.g6"
+        assert [r["file"] for r in payload["records"]] == ["G2_7_0.g6"]
+        assert captured.err.strip() == (
+            "verified 1 graphs: 7 pass, 0 fail, 0 skip, 0 timeout, 0 error"
+        )
+
     def test_verify_exit_1_on_failure(self, tmp_path, capsys, monkeypatch):
         import oddholes.cli as cli_mod
         from oddholes.verify import CorpusReport, GraphRecord, PropertyRecord
@@ -202,3 +216,13 @@ class TestUsageErrors:
         monkeypatch.setenv("ODDHOLES_EXACT_CAP", "abc")
         assert main(["chroma", str(corpus_dir / "petersen.g6")]) == 2
         assert "ODDHOLES_EXACT_CAP" in capsys.readouterr().err
+
+    def test_internal_error_exits_3(self, corpus_dir, capsys, monkeypatch):
+        import oddholes.cli as cli_mod
+
+        def crash(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli_mod, "chromatic_number", crash)
+        assert main(["chroma", str(corpus_dir / "petersen.g6")]) == 3
+        assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"

@@ -1,0 +1,57 @@
+"""Module layering: every import sits at module level, and the package's
+imports of its own modules form a directed acyclic graph."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "oddholes"
+
+
+def _trees():
+    return {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _package_imports(tree) -> set[str]:
+    """The package modules a module imports, wherever the import sits."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                out.add(node.module.split(".")[0])
+            else:
+                out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("oddholes."):
+            out.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            out.update(
+                alias.name.split(".")[1]
+                for alias in node.names
+                if alias.name.startswith("oddholes.")
+            )
+    return out
+
+
+def test_no_import_below_module_level():
+    nested = [
+        f"{name}.py:{node.lineno}"
+        for name, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body
+    ]
+    assert nested == []
+
+
+def test_package_imports_form_a_dag():
+    deps = {name: _package_imports(tree) for name, tree in _trees().items()}
+    done: set[str] = set()
+
+    def visit(name, path):
+        assert name not in path, "import cycle: " + " -> ".join(path[path.index(name):] + [name])
+        if name in done:
+            return
+        for dep in sorted(deps.get(name, ())):
+            visit(dep, path + [name])
+        done.add(name)
+
+    for name in sorted(deps):
+        visit(name, [])

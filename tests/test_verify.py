@@ -129,3 +129,15 @@ class TestReportShape:
         assert report.summary()["unreadable_files"] == 1
         assert not report.has_failures
         assert report.records[0].family == "G"
+
+    def test_badly_named_file_is_recorded_and_the_run_continues(self, tmp_path):
+        d = tmp_path / "corpus"
+        d.mkdir()
+        (d / "G1_7_0.g6").write_text(to_graph6(cycle_graph(7)) + "\n")
+        (d / "G2_7_0.g6").write_text(to_graph6(cycle_graph(7)) + "\n")
+        report = verify_corpus(d)
+        assert report.file_errors == [
+            {"file": "G1_7_0.g6", "error": "class parameter must be >= 2, got 1"}
+        ]
+        assert [r.filename for r in report.records] == ["G2_7_0.g6"]
+        assert report.summary()["unreadable_files"] == 1
