@@ -1,4 +1,5 @@
-"""Proper colorings: the DSATUR heuristic and the layered 4-coloring.
+"""Proper colorings: DSATUR, the saturation branch and bound behind the
+exact oracle (DSATUR is its first descent), and the layered 4-coloring.
 
 The layered colorer exploits the structural fact driving this package: for
 graphs of girth at least 6 with no odd hole of length 9 or more (class A,
@@ -18,6 +19,7 @@ from .graph import (
     components,
     induced_subgraph,
 )
+from .util import Deadline
 
 
 @dataclass(frozen=True)
@@ -42,6 +44,72 @@ def is_proper(g: Graph, coloring: Coloring) -> bool:
     return all(a[u] != a[v] for u, v in g.edges())
 
 
+def saturation_search(
+    g: Graph, k: int, deadline: Deadline | None = None
+) -> dict[int, int] | None:
+    """DSATUR branch and bound: a proper coloring with at most ``k`` colors,
+    as a vertex -> color dict in coloring order, or None when exhaustive
+    search rules one out.
+
+    Each node colors the uncolored vertex of highest saturation (distinct
+    neighbor colors), ties broken by higher degree and then by lower vertex
+    identifier, and tries its allowed colors in increasing order; a new
+    color may only be the next unused one.  With ``k >= n`` the first
+    descent never backtracks and is DSATUR itself.  The search keeps an
+    explicit stack, so its depth is not bounded by the recursion limit, and
+    checks the deadline once per node.
+    """
+    n = g.n
+    adj = [g.neighbors(v) for v in range(n)]
+    # key[v] = saturation * n + rank, rank ordering vertices by (degree, -v):
+    # the largest key is the branch vertex.
+    key = [0] * n
+    for rank, v in enumerate(sorted(range(n), key=lambda v: (len(adj[v]), -v))):
+        key[v] = rank
+    used = [0] * n  # bit c of used[v]: a colored neighbor of v has color c
+    colors = [0] * n
+    uncolored = set(range(n))
+    check = deadline.check if deadline is not None else None
+    # Frames: (v, color, limit, max_used at entry, neighbors whose used
+    # gained the color).
+    stack: list[tuple[int, int, int, int, list[int]]] = []
+    max_used = 0
+    while True:
+        if check is not None:
+            check()
+        if not uncolored:
+            return {frame[0]: frame[1] for frame in stack}
+        v = max(uncolored, key=key.__getitem__)
+        limit = min(k, max_used + 1)
+        c = 0
+        while True:
+            free = ((2 << limit) - (2 << c)) & ~used[v]  # allowed colors c+1..limit
+            if free:
+                break
+            if not stack:
+                return None
+            v, c, limit, max_used, touched = stack.pop()
+            bit = 1 << c
+            for w in touched:
+                used[w] ^= bit
+                key[w] -= n
+            colors[v] = 0
+            uncolored.add(v)
+        c = (free & -free).bit_length() - 1
+        bit = 1 << c
+        colors[v] = c
+        uncolored.discard(v)
+        touched = []
+        for w in adj[v]:
+            if not colors[w] and not used[w] & bit:
+                used[w] |= bit
+                key[w] += n
+                touched.append(w)
+        stack.append((v, c, limit, max_used, touched))
+        if c > max_used:
+            max_used = c
+
+
 def dsatur(g: Graph) -> Coloring:
     """Greedy coloring in saturation-degree order.
 
@@ -49,21 +117,7 @@ def dsatur(g: Graph) -> Coloring:
     result deterministic.  Used wherever an upper bound on the chromatic
     number is enough.
     """
-    n = g.n
-    colors: dict[int, int] = {}
-    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
-    uncolored = set(range(n))
-    while uncolored:
-        v = max(uncolored, key=lambda x: (len(neighbor_colors[x]), g.degree(x), -x))
-        c = 1
-        while c in neighbor_colors[v]:
-            c += 1
-        colors[v] = c
-        uncolored.discard(v)
-        for w in g.neighbors(v):
-            if w in uncolored:
-                neighbor_colors[w].add(c)
-    return Coloring(colors)
+    return Coloring(saturation_search(g, g.n))
 
 
 def four_color_a3(g: Graph) -> tuple[Coloring | None, tuple[int, ...] | None]:

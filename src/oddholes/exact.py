@@ -1,10 +1,13 @@
 """Exact chromatic number: the ground truth for every chi comparison here.
 
-Iterative deepening over k-colorability with DSATUR branching and
-color-symmetry breaking (a new color may only be the next unused one).
-Instances above the vertex cap get an explicit error, never a silent
-heuristic; the cap can be overridden with the ODDHOLES_EXACT_CAP
-environment variable.
+Iterative deepening over k-colorability, from a greedy clique bound up to
+the DSATUR count.  Each k runs ``coloring.saturation_search``: DSATUR
+branch and bound (Brelaz 1979; San Segundo 2012) with color-symmetry
+breaking (a new color may only be the next unused one), neighbor colors
+kept as int bitmasks, one integer priority key per vertex, and an explicit
+stack of frames, so long inputs hit no recursion limit.  Instances above
+the vertex cap get an explicit error, never a silent heuristic; the cap
+can be overridden with the ODDHOLES_EXACT_CAP environment variable.
 """
 
 from __future__ import annotations
@@ -13,9 +16,9 @@ import os
 from dataclasses import dataclass
 from typing import Iterable
 
-from .coloring import Coloring, dsatur
+from .coloring import Coloring, dsatur, saturation_search
 from .graph import Graph, GraphError, induced_subgraph
-from .util import Deadline, check_deadline
+from .util import Deadline
 
 DEFAULT_VERTEX_CAP = 64
 _CAP_ENV = "ODDHOLES_EXACT_CAP"
@@ -54,60 +57,25 @@ def is_k_colorable(g: Graph, k: int, deadline: Deadline | None = None) -> Colori
         return None
     if k >= n:
         return Coloring({v: v + 1 for v in range(n)})
-    colors = [0] * n
-    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
-    uncolored = set(range(n))
-
-    def pick() -> int:
-        return max(uncolored, key=lambda v: (len(neighbor_colors[v]), g.degree(v), -v))
-
-    def assign(v: int, c: int) -> list[int]:
-        colors[v] = c
-        uncolored.discard(v)
-        touched = []
-        for w in g.neighbors(v):
-            if colors[w] == 0 and c not in neighbor_colors[w]:
-                neighbor_colors[w].add(c)
-                touched.append(w)
-        return touched
-
-    def unassign(v: int, c: int, touched: list[int]) -> None:
-        for w in touched:
-            neighbor_colors[w].discard(c)
-        colors[v] = 0
-        uncolored.add(v)
-
-    def backtrack(max_used: int) -> bool:
-        check_deadline(deadline)
-        if not uncolored:
-            return True
-        v = pick()
-        limit = min(k, max_used + 1)
-        for c in range(1, limit + 1):
-            if c in neighbor_colors[v]:
-                continue
-            touched = assign(v, c)
-            if backtrack(max(max_used, c)):
-                return True
-            unassign(v, c, touched)
-        return False
-
-    if backtrack(0):
-        return Coloring({v: colors[v] for v in range(n)})
-    return None
+    found = saturation_search(g, k, deadline)
+    if found is None:
+        return None
+    return Coloring(dict(sorted(found.items())))
 
 
 def _greedy_clique_lower_bound(g: Graph) -> int:
     if g.n == 0:
         return 0
+    masks = g.neighbor_masks()
     best = 1
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     for v in order[: min(g.n, 16)]:
-        clique = [v]
+        size, common = 1, masks[v]  # common: vertices adjacent to the whole clique
         for w in sorted(g.neighbors(v)):
-            if all(g.has_edge(w, x) for x in clique):
-                clique.append(w)
-        best = max(best, len(clique))
+            if common >> w & 1:
+                size += 1
+                common &= masks[w]
+        best = max(best, size)
     return best
 
 

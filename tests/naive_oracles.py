@@ -2,9 +2,10 @@
 
 These deliberately share no code with the package's search routines: the
 cycle enumerator checks every vertex subset, and the chromatic oracle
-enumerates raw color assignments.  The set-based induced-cycle search and
-the sweeping 2-core are the package's earlier implementations, kept as
-references for the order and the results of their bitmask replacements.
+enumerates raw color assignments.  The set-based induced-cycle search, the
+sweeping 2-core, the recursive k-colorability search and the set-based
+DSATUR are the package's earlier implementations, kept as references for
+the order and the results of their replacements.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ import random
 from itertools import combinations, product
 from typing import Iterable, Iterator
 
-from oddholes import Graph
+from oddholes import Coloring, Graph
 from oddholes.graph import bfs_distances
+from oddholes.util import Deadline, check_deadline
 
 
 def naive_induced_cycles(g: Graph, max_len: int) -> set[tuple[int, ...]]:
@@ -125,3 +127,77 @@ def sweep_two_core(g: Graph, within: Iterable[int]) -> set[int]:
                 core.discard(v)
                 changed = True
     return core
+
+
+def recursive_is_k_colorable(
+    g: Graph, k: int, deadline: Deadline | None = None
+) -> Coloring | None:
+    """DSATUR branch and bound with one recursive call per node and
+    neighbor colors kept in sets."""
+    n = g.n
+    if n == 0:
+        return Coloring({})
+    if k == 0:
+        return None
+    if k >= n:
+        return Coloring({v: v + 1 for v in range(n)})
+    colors = [0] * n
+    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
+    uncolored = set(range(n))
+
+    def pick() -> int:
+        return max(uncolored, key=lambda v: (len(neighbor_colors[v]), g.degree(v), -v))
+
+    def assign(v: int, c: int) -> list[int]:
+        colors[v] = c
+        uncolored.discard(v)
+        touched = []
+        for w in g.neighbors(v):
+            if colors[w] == 0 and c not in neighbor_colors[w]:
+                neighbor_colors[w].add(c)
+                touched.append(w)
+        return touched
+
+    def unassign(v: int, c: int, touched: list[int]) -> None:
+        for w in touched:
+            neighbor_colors[w].discard(c)
+        colors[v] = 0
+        uncolored.add(v)
+
+    def backtrack(max_used: int) -> bool:
+        check_deadline(deadline)
+        if not uncolored:
+            return True
+        v = pick()
+        limit = min(k, max_used + 1)
+        for c in range(1, limit + 1):
+            if c in neighbor_colors[v]:
+                continue
+            touched = assign(v, c)
+            if backtrack(max(max_used, c)):
+                return True
+            unassign(v, c, touched)
+        return False
+
+    if backtrack(0):
+        return Coloring({v: colors[v] for v in range(n)})
+    return None
+
+
+def set_dsatur(g: Graph) -> Coloring:
+    """DSATUR with neighbor colors kept in sets and a tuple key per pick."""
+    n = g.n
+    colors: dict[int, int] = {}
+    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
+    uncolored = set(range(n))
+    while uncolored:
+        v = max(uncolored, key=lambda x: (len(neighbor_colors[x]), g.degree(x), -x))
+        c = 1
+        while c in neighbor_colors[v]:
+            c += 1
+        colors[v] = c
+        uncolored.discard(v)
+        for w in g.neighbors(v):
+            if w in uncolored:
+                neighbor_colors[w].add(c)
+    return Coloring(colors)

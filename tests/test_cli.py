@@ -92,6 +92,13 @@ class TestChromaAndHoles:
         code, payload = run(capsys, "chroma", str(corpus_dir / "grotzsch.g6"))
         assert code == 0 and payload == {"chi": 4}
 
+    def test_chroma_long_odd_cycle_above_default_cap(self, tmp_path, capsys, monkeypatch):
+        # Exited 3 with a RecursionError while the exact search recursed.
+        path = tmp_path / "c1201.g6"
+        write_g6(path, cycle_graph(1201))
+        monkeypatch.setenv("ODDHOLES_EXACT_CAP", "5000")
+        assert run(capsys, "chroma", str(path)) == (0, {"chi": 3})
+
     def test_holes(self, corpus_dir, capsys):
         code, payload = run(
             capsys, "holes", str(corpus_dir / "petersen.g6"), "--max-len", "6"

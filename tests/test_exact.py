@@ -8,12 +8,31 @@ from oddholes import (
     chromatic_number,
     complete_bipartite,
     cycle_graph,
+    dsatur,
     grotzsch,
     is_k_colorable,
     is_proper,
     petersen,
 )
-from naive_oracles import brute_chromatic, random_graph
+from oddholes.exact import _greedy_clique_lower_bound
+from oddholes.util import Deadline
+from naive_oracles import (
+    brute_chromatic,
+    random_graph,
+    recursive_is_k_colorable,
+    set_dsatur,
+)
+
+
+class CountingDeadline(Deadline):
+    """Counts search checks; never expires."""
+
+    def __init__(self) -> None:
+        super().__init__(None)
+        self.checks = 0
+
+    def check(self) -> None:
+        self.checks += 1
 
 
 class TestIsKColorable:
@@ -45,6 +64,41 @@ class TestIsKColorable:
             feasible = [is_k_colorable(g, k) is not None for k in range(g.n + 1)]
             # Once colorable, always colorable with more colors.
             assert feasible == sorted(feasible)
+
+    def test_long_odd_cycle_needs_no_recursion(self):
+        # The search keeps its own stack: depth 1201 stays within the
+        # default recursion limit.
+        assert is_k_colorable(cycle_graph(1201), 2) is None
+
+
+class TestAgainstRecursiveSearch:
+    """The explicit-stack search against the earlier recursive one: the same
+    coloring or None, in the same node order (same number of checks)."""
+
+    @staticmethod
+    def graphs():
+        for seed in range(20):
+            n = 20 + (seed * 7) % 26
+            p = 0.2 + 0.3 * ((seed * 3) % 10) / 9
+            yield random_graph(n, p, seed)
+
+    def test_same_colorings_and_checks_for_every_k(self):
+        for g in self.graphs():
+            upper = dsatur(g).colors_used
+            for k in range(_greedy_clique_lower_bound(g), upper + 1):
+                new, old = CountingDeadline(), CountingDeadline()
+                got = is_k_colorable(g, k, new)
+                want = recursive_is_k_colorable(g, k, old)
+                if want is None:
+                    assert got is None
+                else:
+                    assert list(got.assignment.items()) == list(want.assignment.items())
+                assert new.checks == old.checks
+
+    def test_dsatur_matches_set_based_dsatur(self):
+        for g in self.graphs():
+            got, want = dsatur(g).assignment, set_dsatur(g).assignment
+            assert list(got.items()) == list(want.items())
 
 
 class TestChromaticNumber:
@@ -79,6 +133,10 @@ class TestChromaticNumber:
         with pytest.raises(OracleCapExceeded, match="too large"):
             chromatic_number(Graph(70))
         assert chromatic_number(Graph(70), cap=128).chi == 1
+
+    def test_long_odd_cycle_above_default_cap(self):
+        result = chromatic_number(cycle_graph(1201), cap=5000)
+        assert result.chi == 3 and is_proper(cycle_graph(1201), result.coloring)
 
     def test_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("ODDHOLES_EXACT_CAP", "8")
