@@ -45,7 +45,6 @@ from .graph import (
     bipartition_or_odd_cycle,
     components,
     components_of_subset,
-    distance,
     induced_subgraph,
     is_bipartite_subset,
     is_induced_path,

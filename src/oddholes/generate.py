@@ -2,10 +2,13 @@
 
 Random members are built edge by edge: candidate pairs are visited in a
 seeded random order and an edge is kept only when the partial graph still
-satisfies every clause of the target class.  Because new violations must
-run through the new edge, each check searches cycles through that edge
-only, which keeps generation tractable under high-girth constraints where
-generate-then-filter would be hopeless.
+satisfies every clause of the target class.  Every new cycle runs through
+the new edge, so one BFS from its end decides most edges: one that joins
+two components closes no cycle, one that closes too short a cycle breaks
+the girth bound, and one that leaves its component bipartite closes no odd
+cycle, while every other clause bans an odd length.  The rest get one
+induced-cycle search through the edge, which keeps generation tractable
+under high-girth constraints where generate-then-filter would be hopeless.
 
 Randomness comes from splitmix64 (the standard 64-bit splittable
 generator); see the format reference for the exact algorithm so corpora
@@ -16,12 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, GraphError, distance, is_bipartite_subset
-from .holes import (
-    ClassSpec,
-    induced_cycle_through_edge,
-    induced_odd_cycle_through_edge,
-)
+from .graph import Graph, GraphError, bfs_distances
+from .holes import ClassSpec, forbidden_cycle_through_edge
 from .util import Deadline
 
 _MASK64 = (1 << 64) - 1
@@ -157,20 +156,26 @@ class GenResult:
     degenerate: bool
 
 
-def _edge_admissible(g_before: Graph, g_after: Graph, u: int, v: int, cspec: ClassSpec,
+def _edge_admissible(g: Graph, u: int, v: int, cspec: ClassSpec,
                      deadline: Deadline | None) -> bool:
+    """Whether the member g plus the edge (u, v) is still a member."""
+    dist = bfs_distances(g, [u])
+    d = dist.get(v)
+    if d is None:
+        return True
     # The shortest new cycle closes the shortest old u-v path.
-    d = distance(g_before, u, [v])
-    if d is not None and d + 1 < cspec.girth_min:
+    if d + 1 < cspec.girth_min:
         return False
-    if cspec.forbids_five_hole and induced_cycle_through_edge(g_after, u, v, 5, deadline):
-        return False
-    if cspec.forbids_seven_hole and induced_cycle_through_edge(g_after, u, v, 7, deadline):
-        return False
-    if not is_bipartite_subset(g_after):
-        if induced_odd_cycle_through_edge(g_after, u, v, cspec.odd_hole_min, deadline):
-            return False
-    return True
+    # The component stays bipartite when the edge joins opposite BFS parities
+    # and no old edge joins equal ones; every clause left bans an odd length.
+    adj = g.neighbor_masks()
+    parity = [0, 0]
+    for x, dx in dist.items():
+        parity[dx & 1] |= 1 << x
+    if d % 2 == 1 and not any(adj[x] & parity[dx & 1] for x, dx in dist.items()):
+        return True
+    g_after = Graph(g.n, g.edges() + [(u, v)])
+    return forbidden_cycle_through_edge(g_after, u, v, cspec, deadline) is None
 
 
 def generate_member(gs: GenSpec, deadline: Deadline | None = None) -> GenResult:
@@ -188,10 +193,9 @@ def generate_member(gs: GenSpec, deadline: Deadline | None = None) -> GenResult:
         if gs.retry_budget > 0 and rejected >= gs.retry_budget:
             break
         attempts += 1
-        candidate = Graph(n, edges + [(u, v)])
-        if _edge_admissible(current, candidate, u, v, gs.cspec, deadline):
+        if _edge_admissible(current, u, v, gs.cspec, deadline):
             edges.append((u, v))
-            current = candidate
+            current = Graph(n, edges)
         else:
             rejected += 1
     return GenResult(

@@ -281,36 +281,6 @@ def bfs_distances(g: Graph, sources: Iterable[int], within: frozenset[int] | set
     return dist
 
 
-def distance(g: Graph, v: int, target: Iterable[int]) -> int | None:
-    """Shortest-path distance from ``v`` to the nearest vertex of ``target``.
-
-    Returns None when no vertex of ``target`` is reachable.  Raises on an
-    empty target set.
-    """
-    targets = set(target)
-    if not targets:
-        raise GraphError("distance target set is empty")
-    for t in targets:
-        if not 0 <= t < g.n:
-            raise GraphError(f"target vertex {t} out of range")
-    if not 0 <= v < g.n:
-        raise GraphError(f"vertex {v} out of range")
-    if v in targets:
-        return 0
-    dist = {v: 0}
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
-        for w in g.neighbors(u):
-            if w in dist:
-                continue
-            dist[w] = dist[u] + 1
-            if w in targets:
-                return dist[w]
-            queue.append(w)
-    return None
-
-
 def components(g: Graph) -> list[list[int]]:
     """Connected components as sorted vertex lists, ordered by minimum vertex."""
     seen: set[int] = set()

@@ -93,6 +93,19 @@ class ClassSpec:
         # The flag is subsumed when the odd-hole clause already bans 7-holes.
         return self.seven_hole_free and self.odd_hole_min > 7
 
+    def forbids(self, k: int) -> bool:
+        """True when the class bans induced cycles of length ``k``.
+
+        Cycles shorter than the girth bound are banned chorded or not; the
+        other clauses ban induced cycles only.
+        """
+        return (
+            k < self.girth_min
+            or (k == 5 and self.forbids_five_hole)
+            or (k == 7 and self.forbids_seven_hole)
+            or (k % 2 == 1 and k >= self.odd_hole_min)
+        )
+
     def describe(self) -> str:
         parts = [f"girth >= {self.girth_min}"]
         if self.forbids_five_hole:
@@ -381,31 +394,22 @@ def find_long_odd_hole(
 # cycles through a fixed edge (incremental generation support)
 
 
-def induced_cycle_through_edge(
-    g: Graph, u: int, v: int, length: int, deadline: Deadline | None = None
+def forbidden_cycle_through_edge(
+    g: Graph, u: int, v: int, cspec: ClassSpec, deadline: Deadline | None = None
 ) -> tuple[int, ...] | None:
-    """Some induced cycle of exactly this length traversing edge (u, v), or None."""
+    """Some induced cycle through edge (u, v) whose length the class bans, or None.
+
+    Every cycle through the edge lies in the 2-core of u's component.
+    """
     if not g.has_edge(u, v):
         raise GraphError(f"({u}, {v}) is not an edge")
-    for cyc in induced_cycle_search(g, [u, v], floor=-1, exact=length, deadline=deadline):
-        return cyc
-    return None
-
-
-def induced_odd_cycle_through_edge(
-    g: Graph, u: int, v: int, min_len: int, deadline: Deadline | None = None
-) -> tuple[int, ...] | None:
-    """Some induced odd cycle of length >= min_len through edge (u, v), or None."""
-    if not g.has_edge(u, v):
-        raise GraphError(f"({u}, {v}) is not an edge")
-    comp = next(c for c in components(g) if u in c)
-    core = _two_core(g, comp)
+    core = _two_core(g, bfs_distances(g, [u]))
     if u not in core or v not in core:
         return None
     for cyc in induced_cycle_search(
         g, [u, v], floor=-1, max_len=len(core), allowed=vertex_mask(core), deadline=deadline
     ):
-        if len(cyc) % 2 == 1 and len(cyc) >= min_len:
+        if cspec.forbids(len(cyc)):
             return cyc
     return None
 
@@ -426,7 +430,7 @@ def class_membership(
     candidates: list[tuple[tuple[int, ...], str]] = []
     g0 = girth(g)
     if g0 is not None and g0 < cspec.girth_min:
-        cyc = shortest_cycle(g, deadline)
+        cyc = induced_cycles_of_length(g, g0, first_anchor_only=True, deadline=deadline)[0]
         candidates.append((cyc, TRIANGLE if len(cyc) == 3 else SHORT_CYCLE))
     if cspec.forbids_five_hole and g0 is not None and g0 <= 5:
         hits = induced_cycles_of_length(g, 5, first_anchor_only=True, deadline=deadline)
@@ -478,15 +482,8 @@ def witness_violates(g: Graph, witness: HoleWitness, cspec: ClassSpec) -> bool:
     induced = is_induced_cycle(g, cyc)
     if witness.kind in (K_HOLE, LONG_ODD_HOLE) and not induced:
         return False
-    if k < cspec.girth_min:
-        return True
-    if not induced:
-        return False
-    if cspec.forbids_five_hole and k == 5:
-        return True
-    if cspec.forbids_seven_hole and k == 7:
-        return True
-    return k % 2 == 1 and k >= cspec.odd_hole_min
+    # A cycle below the girth bound violates even with chords.
+    return k < cspec.girth_min or (induced and cspec.forbids(k))
 
 
 # ---------------------------------------------------------------------------

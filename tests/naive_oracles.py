@@ -3,9 +3,12 @@
 These deliberately share no code with the package's search routines: the
 cycle enumerator checks every vertex subset, and the chromatic oracle
 enumerates raw color assignments.  The set-based induced-cycle search, the
-sweeping 2-core, the recursive k-colorability search and the set-based
-DSATUR are the package's earlier implementations, kept as references for
-the order and the results of their replacements.
+sweeping 2-core, the recursive k-colorability search, the set-based
+DSATUR and the four-check edge test are the package's earlier
+implementations, kept as references for the order and the results of
+their replacements.  The four-check edge test runs the package's
+induced-cycle engine: it checks how the edge test splits into cases, not
+the engine.
 """
 
 from __future__ import annotations
@@ -14,8 +17,9 @@ import random
 from itertools import combinations, product
 from typing import Iterable, Iterator
 
-from oddholes import Coloring, Graph
-from oddholes.graph import bfs_distances
+from oddholes import ClassSpec, Coloring, Graph, components, is_bipartite_subset
+from oddholes.graph import bfs_distances, vertex_mask
+from oddholes.holes import induced_cycle_search
 from oddholes.util import Deadline, check_deadline
 
 
@@ -127,6 +131,31 @@ def sweep_two_core(g: Graph, within: Iterable[int]) -> set[int]:
                 core.discard(v)
                 changed = True
     return core
+
+
+def four_check_edge_admissible(
+    g_before: Graph, g_after: Graph, u: int, v: int, cspec: ClassSpec
+) -> bool:
+    """The generator's edge test as four separate checks: the u-v distance,
+    exact 5- and 7-hole searches through the edge, a whole-graph
+    bipartiteness test, then an odd-hole search in the 2-core of the
+    edge's component."""
+    d = bfs_distances(g_before, [u]).get(v)
+    if d is not None and d + 1 < cspec.girth_min:
+        return False
+    for length, banned in ((5, cspec.forbids_five_hole), (7, cspec.forbids_seven_hole)):
+        if banned and next(induced_cycle_search(g_after, [u, v], floor=-1, exact=length), None):
+            return False
+    if not is_bipartite_subset(g_after):
+        comp = next(c for c in components(g_after) if u in c)
+        core = sweep_two_core(g_after, comp)
+        if u in core and v in core:
+            for cyc in induced_cycle_search(
+                g_after, [u, v], floor=-1, max_len=len(core), allowed=vertex_mask(core)
+            ):
+                if len(cyc) % 2 == 1 and len(cyc) >= cspec.odd_hole_min:
+                    return False
+    return True
 
 
 def recursive_is_k_colorable(

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import pytest
 
 from oddholes import (
@@ -22,6 +25,8 @@ from oddholes import (
     random_tree,
     to_graph6,
 )
+from oddholes.generate import _edge_admissible
+from naive_oracles import four_check_edge_admissible
 
 
 class TestNamedGraphs:
@@ -162,3 +167,67 @@ class TestRandomInClass:
             if not is_bipartite_subset(g):
                 non_bipartite += 1
         assert non_bipartite >= 5
+
+
+ADMISSIBILITY_SPECS = [
+    ClassSpec("G", 2),
+    ClassSpec("G", 3),
+    ClassSpec("A", 2),
+    ClassSpec("A", 3),
+    ClassSpec("B", 2),
+    ClassSpec("B", 3),
+    ClassSpec("B", 3, seven_hole_free=True),
+    ClassSpec("F", 2),
+]
+SPEC_IDS = ["G2", "G3", "A2", "A3", "B2", "B3", "B3-seven-hole-free", "F2"]
+
+
+class TestEdgeAdmissibility:
+    @pytest.mark.parametrize("cspec", ADMISSIBILITY_SPECS, ids=SPEC_IDS)
+    def test_one_bfs_test_matches_four_checks(self, cspec):
+        # Replays generate_member attempt by attempt, asking both tests.
+        for n, seed, degree in itertools.product((24, 30, 36), (1, 2), (4.0, 6.0)):
+            gs = GenSpec(cspec, n, degree / n, seed)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            SplitMix64(seed).shuffle(pairs)
+            edges: list[tuple[int, int]] = []
+            current = Graph(n)
+            for u, v in pairs[: round(gs.density * len(pairs))]:
+                candidate = Graph(n, edges + [(u, v)])
+                verdict = _edge_admissible(current, u, v, cspec, None)
+                assert verdict == four_check_edge_admissible(current, candidate, u, v, cspec)
+                if verdict:
+                    edges.append((u, v))
+                    current = candidate
+            assert current == generate_member(gs).graph
+
+    @pytest.mark.parametrize("cspec", ADMISSIBILITY_SPECS, ids=SPEC_IDS)
+    def test_cycle_membership_is_forbids(self, cspec):
+        for k in range(3, 16):
+            assert class_membership(cycle_graph(k), cspec).member == (not cspec.forbids(k)), k
+
+
+class TestPinnedCorpora:
+    """sha256 of the graph6 text and the GenResult counters of one member per
+    family, fixed so that generated corpora stay byte-identical."""
+
+    @pytest.mark.parametrize(
+        "gs, digest, attempts, added, rejected",
+        [
+            (GenSpec(ClassSpec("A", 3), 60, 3.5 / 60, 11),
+             "4922af8596c68f45c4740ae116d0eb0d6dc677e195dfe481b44f3a5f04734c47", 103, 72, 31),
+            (GenSpec(ClassSpec("B", 3, seven_hole_free=True), 48, 4.0 / 48, 12),
+             "5212c7f4b0cf7d5447542f44ae658c7bfafb01a1da48c86c31d55c509d83526c", 94, 72, 22),
+            (GenSpec(ClassSpec("G", 2), 56, 3.5 / 56, 13),
+             "dc300795d04b99ce2a6c609c2e5ab7e6c11a2b02b0bb88040a5219510a9fe686", 96, 63, 33),
+            (GenSpec(ClassSpec("F", 2), 48, 3.5 / 48, 14),
+             "c95fea9e2284b5d05935e56e2b6c993ca58a82cfa4a2216f34c504504c850676", 82, 56, 26),
+        ],
+        ids=["A3", "B3-seven-hole-free", "G2", "F2"],
+    )
+    def test_member_bytes_and_counters(self, gs, digest, attempts, added, rejected):
+        res = generate_member(gs)
+        assert hashlib.sha256(to_graph6(res.graph).encode()).hexdigest() == digest
+        assert (res.attempts, res.added, res.rejected, res.degenerate) == (
+            attempts, added, rejected, False
+        )

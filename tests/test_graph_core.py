@@ -8,12 +8,10 @@ from oddholes import (
     bipartition_or_odd_cycle,
     components,
     cycle_graph,
-    distance,
     induced_subgraph,
     parse_edge_list,
     parse_graph,
     parse_graph6,
-    path_graph,
     petersen,
     to_edge_list,
     to_graph6,
@@ -208,21 +206,6 @@ class TestBipartition:
 
 
 class TestDistanceAndComponents:
-    def test_path_example(self):
-        g = path_graph(12)
-        assert distance(g, 7, [10, 11]) == 3
-
-    def test_zero_when_inside(self):
-        assert distance(cycle_graph(5), 3, [3, 4]) == 0
-
-    def test_unreachable(self):
-        g = Graph(7, [(i, (i + 1) % 5) for i in range(5)] + [(5, 6)])
-        assert distance(g, 0, [5]) is None
-
-    def test_empty_target(self):
-        with pytest.raises(GraphError, match="empty"):
-            distance(cycle_graph(5), 0, [])
-
     def test_components(self):
         g = Graph(7, [(i, (i + 1) % 5) for i in range(5)] + [(5, 6)])
         assert [len(c) for c in components(g)] == [5, 2]

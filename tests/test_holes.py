@@ -137,33 +137,33 @@ class TestFindLongOddHole:
                 assert got == min(c for c in naive if len(c) == best)
 
     def test_through_edge_searches_require_an_edge(self):
-        from oddholes.holes import (
-            induced_cycle_through_edge,
-            induced_odd_cycle_through_edge,
-        )
+        from oddholes.holes import forbidden_cycle_through_edge
 
         g = cycle_graph(6)
-        assert induced_cycle_through_edge(g, 0, 1, 6) == tuple(range(6))
-        assert induced_cycle_through_edge(g, 0, 1, 5) is None
-        assert induced_odd_cycle_through_edge(g, 0, 1, 5) is None
+        assert forbidden_cycle_through_edge(g, 0, 1, ClassSpec("A", 4)) == tuple(range(6))
+        assert forbidden_cycle_through_edge(g, 0, 1, ClassSpec("B", 2)) is None
         with pytest.raises(GraphError, match="not an edge"):
-            induced_cycle_through_edge(g, 0, 2, 4)
+            forbidden_cycle_through_edge(g, 0, 2, ClassSpec("A", 4))
         with pytest.raises(GraphError, match="not an edge"):
-            induced_odd_cycle_through_edge(g, 0, 3, 5)
+            forbidden_cycle_through_edge(g, 0, 3, ClassSpec("B", 2))
 
 
 class TestSearchDepth:
     """Searches deeper than the interpreter's recursion limit."""
 
     def test_cycle_through_edge_of_c3001(self):
-        from oddholes.holes import induced_cycle_through_edge
+        from oddholes.holes import forbidden_cycle_through_edge
 
-        assert induced_cycle_through_edge(cycle_graph(3001), 0, 1, 3001) == tuple(range(3001))
+        # Girth bound 3002: the cycle is banned as too short.
+        got = forbidden_cycle_through_edge(cycle_graph(3001), 0, 1, ClassSpec("A", 1501))
+        assert got == tuple(range(3001))
 
     def test_odd_cycle_through_edge_of_c3001(self):
-        from oddholes.holes import induced_odd_cycle_through_edge
+        from oddholes.holes import forbidden_cycle_through_edge
 
-        assert induced_odd_cycle_through_edge(cycle_graph(3001), 0, 1, 9) == tuple(range(3001))
+        # Odd holes from length 9 on are banned.
+        got = forbidden_cycle_through_edge(cycle_graph(3001), 0, 1, ClassSpec("B", 3))
+        assert got == tuple(range(3001))
 
 
 class TestBitmaskEngine:
