@@ -8,7 +8,9 @@ format description); the edge-list format ("n <count>" header, then one
 
 from __future__ import annotations
 
+import re
 from collections import deque
+from math import isqrt
 from typing import Iterable, Iterator
 
 
@@ -94,6 +96,9 @@ class Graph:
 # graph6 encoding (bit-exact)
 
 _G6_HEADER = ">>graph6<<"
+_G6_NONZERO = re.compile(r"[^?]")
+# The set bits of a 6-bit value, as offsets from its most significant bit.
+_G6_BITS = [tuple(b for b in range(6) if value >> (5 - b) & 1) for value in range(64)]
 
 
 def _g6_encode_size(n: int) -> str:
@@ -138,9 +143,10 @@ def parse_graph6(text: bytes | str) -> Graph:
         s = s[len(_G6_HEADER):]
     if not s:
         raise ParseError("empty graph6 input")
-    for pos, ch in enumerate(s):
-        if not 63 <= ord(ch) <= 126:
-            raise ParseError(f"invalid graph6 byte {ord(ch)} at offset {pos}")
+    if min(s) < "?" or max(s) > "~":
+        for pos, ch in enumerate(s):
+            if not 63 <= ord(ch) <= 126:
+                raise ParseError(f"invalid graph6 byte {ord(ch)} at offset {pos}")
     if s[0] != "~":
         n = ord(s[0]) - 63
         body = s[1:]
@@ -164,18 +170,19 @@ def parse_graph6(text: bytes | str) -> Graph:
         raise ParseError(
             f"graph6 body length {len(body)} != expected {expected} for n={n}"
         )
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            byte = ord(body[idx // 6]) - 63
-            if (byte >> (5 - idx % 6)) & 1:
-                edges.append((i, j))
-            idx += 1
     if nbits % 6:
         last = ord(body[-1]) - 63
         if last & ((1 << (6 - nbits % 6)) - 1):
             raise ParseError("nonzero padding bits in final graph6 byte")
+    # Bit k of the body is the pair (i, j) with k = j(j-1)/2 + i, i < j;
+    # only bytes other than "?" (all six bits clear) hold edges.
+    edges = []
+    for match in _G6_NONZERO.finditer(body):
+        base = 6 * match.start()
+        for offset in _G6_BITS[ord(match.group()) - 63]:
+            k = base + offset
+            j = (1 + isqrt(8 * k + 1)) // 2
+            edges.append((k - j * (j - 1) // 2, j))
     return Graph(n, edges)
 
 

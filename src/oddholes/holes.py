@@ -15,6 +15,13 @@ The four graph families handled here are parameterized by an integer
 Membership checks decide the odd-hole clauses by exhaustive induced-cycle
 search (exponential worst case, accepted at desk scale) and always return
 a re-checkable witness on failure.
+
+Every search that looks for cycles by their least vertex s (girth, the
+fixed-length hole clauses, the long-odd-hole scan) runs inside s's anchor
+pool: the 2-core of the vertices >= s.  A cycle whose least vertex is s
+lies in that pool, so the pools change no answer; they only drop the
+pendant trees and the anchors that lie on no cycle above themselves.
+``class_membership`` builds the pools once and every clause shares them.
 """
 
 from __future__ import annotations
@@ -129,32 +136,56 @@ class MembershipVerdict:
 # girth
 
 
-def girth(g: Graph) -> int | None:
+def girth(g: Graph, deadline: Deadline | None = None) -> int | None:
     """Length of a shortest cycle, or None for acyclic graphs.
 
-    Per-root BFS; the minimum of d(x) + d(y) + 1 over non-tree edges (x, y)
-    across all roots equals the girth.
+    Per-root BFS (Itai & Rodeh): the minimum of d(x) + d(y) + 1 over
+    non-tree edges (x, y) across all roots equals the girth.  Each root s
+    searches only its anchor pool, the 2-core of the vertices >= s.  The
+    result is unchanged: the girth is the minimum over s of the shortest
+    cycle through s among the vertices >= s, and that cycle lies in s's
+    pool.  The deadline is checked once per root.
     """
-    best: int | None = None
-    for root in range(g.n):
-        dist = {root: 0}
-        parent: dict[int, int] = {root: -1}
-        queue = [root]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            if best is not None and dist[u] * 2 >= best:
+    found = _girth_anchor(g, _anchor_pools(g, range(g.n)), deadline)
+    return None if found is None else found[0]
+
+
+def _girth_anchor(
+    g: Graph, pools: list[tuple[int, int]], deadline: Deadline | None
+) -> tuple[int, int, int] | None:
+    """``(girth, s, pool)`` for the first anchor s whose pool holds a cycle
+    of girth length (its least vertex is s), or None for acyclic graphs.
+
+    The BFS from s goes level by level over masks.  An edge inside level d
+    closes a walk of 2d + 1 edges, a vertex with two neighbors in level d
+    one of 2d + 2; at a root on a shortest cycle that walk is the cycle.
+    A root stops once its levels cannot beat the best so far.
+    """
+    adj = g.neighbor_masks()
+    best = None
+    for s, pool in pools:
+        check_deadline(deadline)
+        seen = level = 1 << s
+        d = 0
+        while level and (best is None or 2 * d + 1 < best[0]):
+            odd = even = False
+            reached = 0
+            for u in mask_vertices(level):
+                nbrs = adj[u] & pool
+                if nbrs & level:
+                    odd = True
+                    break
+                new = nbrs & ~seen
+                even = even or bool(new & reached)
+                reached |= new
+            if odd or even:
+                length = 2 * d + 1 if odd else 2 * d + 2
+                if best is None or length < best[0]:
+                    best = (length, s, pool)
                 break
-            for w in g.neighbors(u):
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    queue.append(w)
-                elif parent[u] != w:
-                    cand = dist[u] + dist[w] + 1
-                    if best is None or cand < best:
-                        best = cand
+            seen |= reached
+            level = reached
+            d += 1
     return best
 
 
@@ -177,6 +208,17 @@ def girth(g: Graph) -> int | None:
 # that edge; from a non-edge (v, u) it reports induced u-v paths, as an
 # induced path closed by the pair of its ends is an induced cycle through
 # a non-edge.
+#
+# A search with neither ``exact`` nor ``max_len`` has no length to prune
+# by, so it prunes by reachability instead (Uno & Satoh, *An efficient
+# algorithm for enumerating chordless cycles and chordless paths*): a tip
+# from which no free neighbor of the anchor can be reached through free
+# vertices closes no cycle, and is skipped.  Each depth keeps a shortest
+# free route from its tip to such a neighbor; a tip that is the next vertex
+# of its parent's route inherits the rest of it, which stays free (a
+# shortest path has no chord to the vertex it leaves behind), so a path
+# that follows its route costs no new flood.  Only subtrees that close
+# nothing are cut, so the order of the cycles reported is unchanged.
 
 
 def induced_cycle_search(
@@ -192,10 +234,11 @@ def induced_cycle_search(
 ) -> Iterator[tuple[int, ...]]:
     """Induced cycles extending ``path0``, in depth-first order.
 
-    ``exact`` fixes the cycle length, ``max_len`` bounds it.  ``allowed`` is
-    a vertex mask the rest of the cycle must stay in.  With ``exact``,
-    ``dist`` maps vertices to their distance from the anchor (computed over
-    the whole graph when omitted) and prunes paths that cannot close in time.
+    ``exact`` fixes the cycle length, ``max_len`` bounds it; without either,
+    tips that cannot reach the anchor are pruned.  ``allowed`` is a vertex
+    mask the rest of the cycle must stay in.  With ``exact``, ``dist`` maps
+    vertices to their distance from the anchor (computed over the whole
+    graph when omitted) and prunes paths that cannot close in time.
     """
     adj = g.neighbor_masks()
     anchor = path0[0]
@@ -203,6 +246,7 @@ def induced_cycle_search(
     if exact is not None and dist is None:
         dist = bfs_distances(g, [anchor])
     canonical = len(path0) == 1
+    unbounded = exact is None and max_len is None
     path = list(path0)
     open_mask = -1 << (floor + 1)
     if allowed is not None:
@@ -212,6 +256,7 @@ def induced_cycle_search(
         blocked |= adj[x]
     check_deadline(deadline)
     blocks = [blocked]
+    routes: list[tuple[tuple[int, ...], int]] = [((), 0)]  # (route, tip's index)
     todo = [adj[path[-1]] & open_mask & ~blocked]
     while todo:
         rest = todo[-1]
@@ -219,6 +264,8 @@ def induced_cycle_search(
             todo.pop()
             blocks.pop()
             path.pop()
+            if unbounded:
+                routes.pop()
             continue
         bit = rest & -rest
         todo[-1] = rest ^ bit
@@ -247,10 +294,45 @@ def induced_cycle_search(
         blocked = blocks[-1] | bit
         if len(path) >= 2:
             blocked |= adj[path[-1]]
+        if unbounded:
+            route, i = routes[-1]
+            if i + 1 < len(route) and route[i + 1] == w:
+                routes.append((route, i + 1))
+            else:
+                route = _route_to_anchor(adj, w, anchor_adj, open_mask & ~blocked)
+                if route is None:
+                    continue
+                routes.append((route, 0))
         path.append(w)
         check_deadline(deadline)
         blocks.append(blocked)
         todo.append(adj[w] & open_mask & ~blocked)
+
+
+def _route_to_anchor(
+    adj: tuple[int, ...], w: int, anchor_adj: int, free: int
+) -> tuple[int, ...] | None:
+    """A shortest path from w through ``free`` to a neighbor of the anchor
+    in ``free``, or None when there is none."""
+    targets = anchor_adj & free
+    levels = [1 << w]
+    seen = reach = adj[w] & free
+    while reach and not reach & targets:
+        levels.append(reach)
+        nxt = 0
+        for v in mask_vertices(reach):
+            nxt |= adj[v]
+        reach = nxt & free & ~seen
+        seen |= reach
+    if not reach:
+        return None
+    hits = reach & targets
+    route = [(hits & -hits).bit_length() - 1]
+    for level in reversed(levels):
+        back = adj[route[-1]] & level
+        route.append((back & -back).bit_length() - 1)
+    route.reverse()
+    return tuple(route)
 
 
 def enumerate_induced_cycles(
@@ -279,23 +361,45 @@ def induced_cycles_of_length(
 ) -> list[tuple[int, ...]]:
     """All induced cycles of exactly this length (or just the ones through
     the smallest anchor that has any, which contain the canonical minimum)."""
+    return _cycles_of_length(g, _anchor_pools(g, range(g.n)), length, first_anchor_only, deadline)
+
+
+def _cycles_of_length(
+    g: Graph,
+    pools: list[tuple[int, int]],
+    length: int,
+    first_anchor_only: bool,
+    deadline: Deadline | None,
+) -> list[tuple[int, ...]]:
     out: list[tuple[int, ...]] = []
-    for s in range(g.n):
-        hits = list(induced_cycle_search(g, [s], floor=s, exact=length, deadline=deadline))
+    for s, pool in pools:
+        hits = _cycles_through(g, s, pool, length, deadline)
         out.extend(hits)
         if hits and first_anchor_only:
             break
-    return sorted(out, key=lambda c: (len(c), c))
+    return sorted(out)
+
+
+def _cycles_through(
+    g: Graph, s: int, pool: int, length: int, deadline: Deadline | None
+) -> list[tuple[int, ...]]:
+    """The induced cycles of this length whose least vertex is s.  Vertices
+    of the pool farther than length // 2 from s lie on none of them."""
+    dist = _pool_distances(g, s, pool, length // 2)
+    return list(
+        induced_cycle_search(
+            g, [s], floor=s, exact=length, allowed=pool, dist=dist, deadline=deadline
+        )
+    )
 
 
 def shortest_cycle(g: Graph, deadline: Deadline | None = None) -> tuple[int, ...] | None:
     """Canonically smallest cycle of girth length (shortest cycles are induced)."""
-    g0 = girth(g)
-    if g0 is None:
+    found = _girth_anchor(g, _anchor_pools(g, range(g.n)), deadline)
+    if found is None:
         return None
-    hits = induced_cycles_of_length(g, g0, first_anchor_only=True, deadline=deadline)
-    assert hits, "girth value without a cycle of that length"
-    return hits[0]
+    length, s, pool = found
+    return min(_cycles_through(g, s, pool, length, deadline))
 
 
 def _peel(g: Graph, core: set[int], degree: dict[int, int], queue: list[int]) -> list[int]:
@@ -344,6 +448,23 @@ def _anchor_pools(g: Graph, within: Iterable[int]) -> list[tuple[int, int]]:
     return pools
 
 
+def _pool_distances(g: Graph, s: int, pool: int, depth: int) -> dict[int, int]:
+    """Distances from s inside the pool, up to ``depth``."""
+    adj = g.neighbor_masks()
+    dist = {s: 0}
+    seen = level = 1 << s
+    for d in range(1, depth + 1):
+        reached = 0
+        for u in mask_vertices(level):
+            reached |= adj[u]
+        level = reached & pool & ~seen
+        if not level:
+            break
+        seen |= level
+        dist.update(dict.fromkeys(mask_vertices(level), d))
+    return dist
+
+
 def find_long_odd_hole(
     g: Graph, min_len: int, deadline: Deadline | None = None
 ) -> tuple[int, ...] | None:
@@ -358,15 +479,26 @@ def find_long_odd_hole(
     None when no such hole exists (decided exhaustively up to the number
     of vertices).
     """
+    return _long_odd_hole(g, _anchor_pools(g, range(g.n)), min_len, deadline)
+
+
+def _long_odd_hole(
+    g: Graph, pools: list[tuple[int, int]], min_len: int, deadline: Deadline | None
+) -> tuple[int, ...] | None:
+    """``find_long_odd_hole`` over the pools of all vertices.  The 2-core
+    splits over components, so masking them to the non-bipartite components
+    gives those components' own pools."""
     min_len = max(min_len, 3)
     if min_len % 2 == 0:
         min_len += 1
-    within = [v for comp in components(g) if not is_bipartite_subset(g, comp) for v in comp]
-    pools = _anchor_pools(g, within)
+    within = vertex_mask(
+        v for comp in components(g) if not is_bipartite_subset(g, comp) for v in comp
+    )
+    pools = [(s, pool & within) for s, pool in pools if within >> s & 1]
     upper = None
     for s, pool in pools:
         for cyc in induced_cycle_search(
-            g, [s], floor=s, max_len=g.n, allowed=pool, deadline=deadline
+            g, [s], floor=s, allowed=pool, deadline=deadline
         ):
             if len(cyc) % 2 == 1 and len(cyc) >= min_len:
                 upper = len(cyc)
@@ -379,7 +511,7 @@ def find_long_odd_hole(
     for length in range(min_len, upper + 1, 2):
         for s, pool in pools:
             if s not in dists:
-                dists[s] = bfs_distances(g, [s], within=set(mask_vertices(pool)))
+                dists[s] = _pool_distances(g, s, pool, g.n)
             hits = list(
                 induced_cycle_search(
                     g, [s], floor=s, exact=length, allowed=pool, dist=dists[s], deadline=deadline
@@ -428,21 +560,24 @@ def class_membership(
     long odd hole), so verdicts are deterministic.
     """
     candidates: list[tuple[tuple[int, ...], str]] = []
-    g0 = girth(g)
-    if g0 is not None and g0 < cspec.girth_min:
-        cyc = induced_cycles_of_length(g, g0, first_anchor_only=True, deadline=deadline)[0]
+    pools = _anchor_pools(g, range(g.n))
+    shortest = _girth_anchor(g, pools, deadline)
+    g0 = None if shortest is None else shortest[0]
+    if shortest is not None and g0 < cspec.girth_min:
+        _, s, pool = shortest
+        cyc = min(_cycles_through(g, s, pool, g0, deadline))
         candidates.append((cyc, TRIANGLE if len(cyc) == 3 else SHORT_CYCLE))
     if cspec.forbids_five_hole and g0 is not None and g0 <= 5:
-        hits = induced_cycles_of_length(g, 5, first_anchor_only=True, deadline=deadline)
+        hits = _cycles_of_length(g, pools, 5, True, deadline)
         if hits:
             candidates.append((hits[0], K_HOLE))
     if cspec.forbids_seven_hole and g0 is not None and g0 <= 7:
-        hits = induced_cycles_of_length(g, 7, first_anchor_only=True, deadline=deadline)
+        hits = _cycles_of_length(g, pools, 7, True, deadline)
         if hits:
             candidates.append((hits[0], K_HOLE))
     # A violation shorter than any possible odd hole settles the verdict.
     if not candidates or min(len(c) for c, _ in candidates) >= cspec.odd_hole_min:
-        hole = find_long_odd_hole(g, cspec.odd_hole_min, deadline)
+        hole = _long_odd_hole(g, pools, cspec.odd_hole_min, deadline)
         if hole is not None:
             candidates.append((hole, LONG_ODD_HOLE))
     if not candidates:

@@ -4,11 +4,12 @@ These deliberately share no code with the package's search routines: the
 cycle enumerator checks every vertex subset, and the chromatic oracle
 enumerates raw color assignments.  The set-based induced-cycle search, the
 sweeping 2-core, the recursive k-colorability search, the set-based
-DSATUR and the four-check edge test are the package's earlier
-implementations, kept as references for the order and the results of
-their replacements.  The four-check edge test runs the package's
-induced-cycle engine: it checks how the edge test splits into cases, not
-the engine.
+DSATUR, the four-check edge test, the all-roots girth and the all-anchor
+fixed-length cycle search are the package's earlier implementations,
+kept as references for the order and the results of their replacements.
+The four-check edge test and the all-anchor search run the package's
+induced-cycle engine: they check how the work splits into cases and
+anchor pools, not the engine.
 """
 
 from __future__ import annotations
@@ -66,6 +67,52 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
     return Graph(n, edges)
+
+
+def planted_odd_hole(length: int, seed: int) -> tuple[Graph, frozenset[int]]:
+    """An odd cycle carrying as many pendant-tree vertices, relabelled by a
+    seeded permutation; returns the graph and the hole's vertex set."""
+    rng = random.Random(seed)
+    n = 2 * length
+    edges = [(i, (i + 1) % length) for i in range(length)]
+    edges += [(rng.randrange(v), v) for v in range(length, n)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges]), frozenset(perm[:length])
+
+
+def all_roots_girth(g: Graph) -> int | None:
+    """Girth by a whole-graph BFS from every vertex."""
+    best: int | None = None
+    for root in range(g.n):
+        dist = {root: 0}
+        parent: dict[int, int] = {root: -1}
+        queue = [root]
+        head = 0
+        while head < len(queue):
+            u = queue[head]
+            head += 1
+            if best is not None and dist[u] * 2 >= best:
+                break
+            for w in g.neighbors(u):
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    parent[w] = u
+                    queue.append(w)
+                elif parent[u] != w:
+                    cand = dist[u] + dist[w] + 1
+                    if best is None or cand < best:
+                        best = cand
+    return best
+
+
+def all_anchor_cycles_of_length(g: Graph, length: int) -> list[tuple[int, ...]]:
+    """Induced cycles of one length from every anchor, pruned by
+    whole-graph distances, sorted."""
+    out = [
+        cyc for s in range(g.n) for cyc in induced_cycle_search(g, [s], floor=s, exact=length)
+    ]
+    return sorted(out, key=lambda c: (len(c), c))
 
 
 def set_induced_cycle_search(

@@ -88,6 +88,25 @@ class TestGraph6:
         with pytest.raises(ParseError, match="padding"):
             parse_graph6("A" + chr(63 + 1))  # K2 slot empty but a pad bit set
 
+    @pytest.mark.parametrize("byte", [33, 127])  # below "?" and above "~"
+    def test_bad_byte_late_in_a_long_body(self, byte):
+        text = to_graph6(random_graph(100, 0.05, 1))
+        pos = len(text) - 5
+        with pytest.raises(ParseError, match=rf"^invalid graph6 byte {byte} at offset {pos}$"):
+            parse_graph6(text[:pos] + chr(byte) + text[pos + 1:])
+
+    def test_nonzero_padding_past_one_byte_size_field(self):
+        # n = 63: 1953 bits, so the final byte carries three padding bits.
+        text = to_graph6(random_graph(63, 0.1, 2))
+        last = chr(((ord(text[-1]) - 63) | 1) + 63)
+        with pytest.raises(ParseError, match="^nonzero padding bits in final graph6 byte$"):
+            parse_graph6(text[:-1] + last)
+
+    def test_truncated_long_body(self):
+        text = to_graph6(random_graph(200, 0.02, 3))
+        with pytest.raises(ParseError, match="^graph6 body length 3316 != expected 3317 for n=200$"):
+            parse_graph6(text[:-1])
+
     def test_size_field_encodings(self):
         from oddholes.graph import _g6_encode_size
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from oddholes import (
@@ -23,7 +25,10 @@ from oddholes import (
 )
 from oddholes.util import Deadline, DeadlineExceeded
 from naive_oracles import (
+    all_anchor_cycles_of_length,
+    all_roots_girth,
     naive_induced_cycles,
+    planted_odd_hole,
     random_graph,
     set_induced_cycle_search,
     sweep_two_core,
@@ -64,6 +69,50 @@ class TestGirth:
             naive = naive_induced_cycles(g, 9)
             expect = min((len(c) for c in naive), default=None)
             assert girth(g) == expect
+
+    def test_expired_deadline_stops_girth_and_membership(self):
+        g, _ = planted_odd_hole(1001, 7)
+        with pytest.raises(DeadlineExceeded):
+            girth(g, Deadline(-1.0))
+        with pytest.raises(DeadlineExceeded):
+            class_membership(g, ClassSpec("G", 2), Deadline(-1.0))
+
+
+def disjoint_union(*graphs):
+    edges, offset = [], 0
+    for h in graphs:
+        edges += [(u + offset, v + offset) for u, v in h.edges()]
+        offset += h.n
+    return Graph(offset, edges)
+
+
+class TestAnchorPoolsAgainstAllRoots:
+    """girth and induced_cycles_of_length search anchor pools; the kept
+    all-roots / all-anchor versions and networkx give the same answers."""
+
+    GRAPHS = (
+        [random_graph(n, p, seed) for n, p, seed in
+         [(12, 0.3, 1), (20, 0.15, 2), (30, 0.1, 3), (40, 0.06, 4), (60, 0.04, 5), (80, 0.03, 6)]]
+        + [random_tree(n, seed) for n, seed in [(1, 0), (15, 1), (40, 2)]]
+        + [Graph(0), Graph(5), disjoint_union(random_tree(10, 3), random_tree(7, 4))]
+        + [disjoint_union(random_graph(25, 0.12, 7), cycle_graph(9), random_tree(6, 5)),
+           disjoint_union(petersen(), grotzsch(), complete_bipartite(3, 3), cycle_graph(8))]
+        + [planted_odd_hole(length, length)[0] for length in (3, 5, 7, 9, 15)]
+        + [disjoint_union(planted_odd_hole(7, 1)[0], planted_odd_hole(5, 2)[0])]
+    )
+
+    @pytest.mark.parametrize("g", GRAPHS, ids=repr)
+    def test_girth(self, g):
+        nx = pytest.importorskip("networkx")
+        nxg = nx.Graph(g.edges())
+        nxg.add_nodes_from(range(g.n))
+        expected = nx.girth(nxg)
+        assert girth(g) == all_roots_girth(g) == (None if expected == float("inf") else expected)
+
+    @pytest.mark.parametrize("g", GRAPHS, ids=repr)
+    def test_cycles_of_each_length(self, g):
+        for k in range(3, 10):
+            assert induced_cycles_of_length(g, k) == all_anchor_cycles_of_length(g, k)
 
 
 class TestEnumerateInducedCycles:
@@ -282,6 +331,58 @@ class TestLongHoleWork:
         assert set(cycle) == {perm[i] for i in range(length)}
         assert is_induced_cycle(g, cycle) and len(cycle) == length
         assert cycle[0] == min(cycle) and cycle[1] < cycle[-1]
+
+
+class TestReachabilityPruneWork:
+    """The existence pass of find_long_odd_hole has no length bound; tips
+    that cannot reach the anchor any more are pruned, so it does not walk
+    every induced path of a graph with many of them."""
+
+    def test_dense_random_graph(self):
+        # G(300, 4/300): about 450 checks for a 7-hole and 5.5k for a
+        # 9-hole; without the prune the first search ran past 10 s.
+        g = random_graph(300, 4 / 300, 4)
+        assert len(find_long_odd_hole(g, 7, SearchBudget(5_000))) == 7
+        assert len(find_long_odd_hole(g, 9, SearchBudget(20_000))) == 9
+
+
+class TestGirthWork:
+    """girth and class_membership search each anchor's pool only; on an odd
+    hole carrying pendant trees the hole's least vertex is the one anchor."""
+
+    def test_planted_c1001_girth_is_one_anchor(self):
+        # The all-roots search ran a whole-graph BFS from each of the 2002
+        # vertices.
+        g, _ = planted_odd_hole(1001, 1001)
+        assert girth(g, SearchBudget(4)) == 1001
+
+    def test_planted_c1001_in_g2(self):
+        # About 253k checks, nearly all in the long-odd-hole length scan.
+        g, hole = planted_odd_hole(1001, 1001)
+        verdict = class_membership(g, ClassSpec("G", 2), SearchBudget(260_000))
+        assert verdict.witness.kind == "long-odd-hole"
+        assert set(verdict.witness.cycle) == hole
+
+
+class TestPinnedVerdicts:
+    """sha256 of the repr of the class_membership verdicts over a fixed set
+    of sparse random graphs and planted odd holes, fixed so that verdicts
+    and witnesses stay the same."""
+
+    def test_verdict_digest(self):
+        graphs = [
+            random_graph(n, c / n, seed)
+            for seed, n in enumerate((100, 150, 200))
+            for c in (1.5, 2.5, 4.0)
+        ]
+        graphs += [planted_odd_hole(length, length)[0] for length in (31, 61)]
+        verdicts = [
+            class_membership(g, ClassSpec(family, ell))
+            for g in graphs
+            for family, ell in (("G", 2), ("A", 3), ("B", 3), ("F", 2))
+        ]
+        digest = hashlib.sha256(repr(verdicts).encode()).hexdigest()
+        assert digest == "a2e8e97289a11eac1cb844e6543dc24a630c8b2b44ee4af7c7eededc929d4e2e"
 
 
 class TestAgainstNetworkx:

@@ -35,6 +35,23 @@ def test_graph6_round_trip(g):
     assert parse_graph6(to_graph6(g)) == g
 
 
+@st.composite
+def large_graphs(draw):
+    """n past the one-byte graph6 size field, sparse or dense."""
+    n = draw(st.integers(63, 300))
+    p = draw(st.sampled_from([0.0, 0.01, 0.05, 0.5, 0.95]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(large_graphs())
+def test_graph6_round_trip_past_one_byte_size_field(g):
+    text = to_graph6(g)
+    assert text[0] == "~"
+    assert parse_graph6(text) == g
+
+
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(graphs())
 def test_edge_list_round_trip(g):
