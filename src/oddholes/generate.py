@@ -2,13 +2,15 @@
 
 Random members are built edge by edge: candidate pairs are visited in a
 seeded random order and an edge is kept only when the partial graph still
-satisfies every clause of the target class.  Every new cycle runs through
-the new edge, so one BFS from its end decides most edges: one that joins
-two components closes no cycle, one that closes too short a cycle breaks
-the girth bound, and one that leaves its component bipartite closes no odd
-cycle, while every other clause bans an odd length.  The rest get one
-induced-cycle search through the edge, which keeps generation tractable
-under high-girth constraints where generate-then-filter would be hopeless.
+satisfies every clause of the target class; the partial graph is one list
+of neighbor masks, updated in place, and one ``Graph`` is built at the end.
+Every new cycle runs through the new edge, so one BFS from its end decides
+most edges: one that joins two components closes no cycle, one that closes
+too short a cycle breaks the girth bound, and one that leaves its component
+bipartite closes no odd cycle, while every other clause bans an odd length.
+The rest get one induced-cycle search through the edge, inside the 2-core
+of the component that BFS found, which keeps generation tractable under
+high-girth constraints where generate-then-filter would be hopeless.
 
 Randomness comes from splitmix64 (the standard 64-bit splittable
 generator); see the format reference for the exact algorithm so corpora
@@ -19,9 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, GraphError, bfs_distances
+from .graph import Graph, GraphError, mask_vertices
 from .holes import ClassSpec, forbidden_cycle_through_edge
-from .util import Deadline
+from .util import Deadline, check_deadline
 
 _MASK64 = (1 << 64) - 1
 
@@ -156,50 +158,63 @@ class GenResult:
     degenerate: bool
 
 
-def _edge_admissible(g: Graph, u: int, v: int, cspec: ClassSpec,
+def _edge_admissible(adj: list[int], u: int, v: int, cspec: ClassSpec,
                      deadline: Deadline | None) -> bool:
-    """Whether the member g plus the edge (u, v) is still a member."""
-    dist = bfs_distances(g, [u])
-    d = dist.get(v)
-    if d is None:
-        return True
-    # The shortest new cycle closes the shortest old u-v path.
-    if d + 1 < cspec.girth_min:
+    """Whether the member with neighbor masks ``adj`` plus the edge (u, v)
+    is still a member; if so the edge is added to ``adj``, else ``adj`` is
+    left as it was.  One BFS from u, level by level, finds v's distance,
+    u's component and whether an old edge lies inside a level, which is
+    the only way an edge joins two equal BFS parities."""
+    seen = level = 1 << u
+    d, dv, flat = 0, None, False
+    while level:
+        if level >> v & 1:
+            if d + 1 < cspec.girth_min:  # the shortest new cycle is too short
+                return False
+            dv = d
+        reached = 0
+        for x in mask_vertices(level):
+            reached |= adj[x]
+            if adj[x] & level:
+                flat = True
+        level = reached & ~seen
+        seen |= level
+        d += 1
+    adj[u] |= 1 << v
+    adj[v] |= 1 << u
+    # An edge between components closes no cycle, and one that keeps its
+    # component bipartite no odd one; every clause left bans odd lengths.
+    searched = dv is not None and (dv % 2 == 0 or flat)
+    if searched and forbidden_cycle_through_edge(adj, u, v, cspec, seen, deadline) is not None:
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
         return False
-    # The component stays bipartite when the edge joins opposite BFS parities
-    # and no old edge joins equal ones; every clause left bans an odd length.
-    adj = g.neighbor_masks()
-    parity = [0, 0]
-    for x, dx in dist.items():
-        parity[dx & 1] |= 1 << x
-    if d % 2 == 1 and not any(adj[x] & parity[dx & 1] for x, dx in dist.items()):
-        return True
-    g_after = Graph(g.n, g.edges() + [(u, v)])
-    return forbidden_cycle_through_edge(g_after, u, v, cspec, deadline) is None
+    return True
 
 
 def generate_member(gs: GenSpec, deadline: Deadline | None = None) -> GenResult:
     """Grow a member of the class edge by edge; the result always passes
-    membership because every accepted edge was re-checked through itself."""
+    membership because every accepted edge was re-checked through itself.
+    The deadline is checked once per attempt and inside each search."""
     n = gs.n
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rng = SplitMix64(gs.seed)
     rng.shuffle(pairs)
     budget = round(gs.density * len(pairs))
+    adj = [0] * n
     edges: list[tuple[int, int]] = []
-    current = Graph(n, [])
     attempts = rejected = 0
     for u, v in pairs[:budget]:
         if gs.retry_budget > 0 and rejected >= gs.retry_budget:
             break
+        check_deadline(deadline)
         attempts += 1
-        if _edge_admissible(current, u, v, gs.cspec, deadline):
+        if _edge_admissible(adj, u, v, gs.cspec, deadline):
             edges.append((u, v))
-            current = Graph(n, edges)
         else:
             rejected += 1
     return GenResult(
-        graph=current,
+        graph=Graph(n, edges),
         attempts=attempts,
         added=len(edges),
         rejected=rejected,

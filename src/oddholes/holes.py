@@ -27,17 +27,9 @@ pendant trees and the anchors that lie on no cycle above themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-from .graph import (
-    Graph,
-    GraphError,
-    bfs_distances,
-    components,
-    is_bipartite_subset,
-    mask_vertices,
-    vertex_mask,
-)
+from .graph import Graph, GraphError, components, is_bipartite_subset, mask_vertices, vertex_mask
 from .util import Deadline, check_deadline
 
 TRIANGLE = "triangle"
@@ -195,7 +187,7 @@ def _girth_anchor(
 # One engine for every induced-cycle and induced-path search.  It grows
 # induced paths from ``path0`` (its first vertex is the anchor) on an
 # explicit stack, so depth is not bounded by the recursion limit.  Vertex
-# sets are int bitmasks over ``Graph.neighbor_masks``.  Each depth keeps
+# sets are int bitmasks over a sequence of neighbor masks.  Each depth keeps
 # ``blocked``, the path's vertices and the neighbors of its interior (all
 # but anchor and tip), and the tip's candidates not yet tried: its
 # neighbors above ``floor``, inside ``allowed`` and not blocked.  Candidates
@@ -222,7 +214,7 @@ def _girth_anchor(
 
 
 def induced_cycle_search(
-    g: Graph,
+    adj: Sequence[int],
     path0: list[int],
     *,
     floor: int,
@@ -240,11 +232,10 @@ def induced_cycle_search(
     vertices to their distance from the anchor (computed over the whole
     graph when omitted) and prunes paths that cannot close in time.
     """
-    adj = g.neighbor_masks()
     anchor = path0[0]
     anchor_adj = adj[anchor]
     if exact is not None and dist is None:
-        dist = bfs_distances(g, [anchor])
+        dist = _pool_distances(adj, anchor, -1, len(adj))
     canonical = len(path0) == 1
     unbounded = exact is None and max_len is None
     path = list(path0)
@@ -310,7 +301,7 @@ def induced_cycle_search(
 
 
 def _route_to_anchor(
-    adj: tuple[int, ...], w: int, anchor_adj: int, free: int
+    adj: Sequence[int], w: int, anchor_adj: int, free: int
 ) -> tuple[int, ...] | None:
     """A shortest path from w through ``free`` to a neighbor of the anchor
     in ``free``, or None when there is none."""
@@ -341,11 +332,12 @@ def enumerate_induced_cycles(
     """Every induced cycle of length 3..max_len, once each, canonical, sorted."""
     if max_len < 3:
         raise GraphError(f"max_len must be >= 3, got {max_len}")
+    adj = g.neighbor_masks()
     found = sorted(
         (
             cyc
             for s in range(g.n)
-            for cyc in induced_cycle_search(g, [s], floor=s, max_len=max_len, deadline=deadline)
+            for cyc in induced_cycle_search(adj, [s], floor=s, max_len=max_len, deadline=deadline)
         ),
         key=lambda c: (len(c), c),
     )
@@ -385,10 +377,11 @@ def _cycles_through(
 ) -> list[tuple[int, ...]]:
     """The induced cycles of this length whose least vertex is s.  Vertices
     of the pool farther than length // 2 from s lie on none of them."""
-    dist = _pool_distances(g, s, pool, length // 2)
+    adj = g.neighbor_masks()
+    dist = _pool_distances(adj, s, pool, length // 2)
     return list(
         induced_cycle_search(
-            g, [s], floor=s, exact=length, allowed=pool, dist=dist, deadline=deadline
+            adj, [s], floor=s, exact=length, allowed=pool, dist=dist, deadline=deadline
         )
     )
 
@@ -402,30 +395,25 @@ def shortest_cycle(g: Graph, deadline: Deadline | None = None) -> tuple[int, ...
     return min(_cycles_through(g, s, pool, length, deadline))
 
 
-def _peel(g: Graph, core: set[int], degree: dict[int, int], queue: list[int]) -> list[int]:
-    """Remove the queued vertices from ``core``, then every vertex left with
-    at most one neighbor in it; ``degree`` counts neighbors in ``core``.
-    Returns the removed vertices."""
-    removed = []
+def _peel(adj: Sequence[int], core: int, queue: list[int]) -> int:
+    """The vertex mask ``core`` without every vertex left with at most one
+    neighbor in it, checked from the queued vertices on: the caller queues
+    every vertex of ``core`` that may have at most one."""
     while queue:
         v = queue.pop()
-        if v not in core:
-            continue
-        core.discard(v)
-        removed.append(v)
-        for w in g.neighbors(v):
-            if w in core:
-                degree[w] -= 1
-                if degree[w] == 1:
-                    queue.append(w)
-    return removed
-
-
-def _two_core(g: Graph, within: Iterable[int]) -> set[int]:
-    core = set(within)
-    degree = {v: len(g.neighbors(v) & core) for v in core}
-    _peel(g, core, degree, [v for v, d in degree.items() if d <= 1])
+        if core >> v & 1 and (adj[v] & core).bit_count() <= 1:
+            core ^= 1 << v
+            nbrs = adj[v] & core
+            while nbrs:
+                low = nbrs & -nbrs
+                nbrs ^= low
+                queue.append(low.bit_length() - 1)
     return core
+
+
+def _two_core(adj: Sequence[int], within: int) -> int:
+    """The 2-core of the subgraph induced on the vertex mask ``within``."""
+    return _peel(adj, within, list(mask_vertices(within)))
 
 
 def _anchor_pools(g: Graph, within: Iterable[int]) -> list[tuple[int, int]]:
@@ -436,21 +424,18 @@ def _anchor_pools(g: Graph, within: Iterable[int]) -> list[tuple[int, int]]:
     is s.  The 2-core of a set minus s is the 2-core of its 2-core minus s,
     so each pool is peeled from the one before it.
     """
-    core = _two_core(g, within)
-    degree = {v: len(g.neighbors(v) & core) for v in core}
-    pool = vertex_mask(core)
+    adj = g.neighbor_masks()
+    pool = _two_core(adj, vertex_mask(within))
     pools = []
-    for s in sorted(core):
-        if s not in core:
-            continue
-        pools.append((s, pool))
-        pool ^= vertex_mask(_peel(g, core, degree, [s]))
+    for s in mask_vertices(pool):
+        if pool >> s & 1:
+            pools.append((s, pool))
+            pool = _peel(adj, pool ^ (1 << s), list(mask_vertices(adj[s] & pool)))
     return pools
 
 
-def _pool_distances(g: Graph, s: int, pool: int, depth: int) -> dict[int, int]:
+def _pool_distances(adj: Sequence[int], s: int, pool: int, depth: int) -> dict[int, int]:
     """Distances from s inside the pool, up to ``depth``."""
-    adj = g.neighbor_masks()
     dist = {s: 0}
     seen = level = 1 << s
     for d in range(1, depth + 1):
@@ -495,11 +480,10 @@ def _long_odd_hole(
         v for comp in components(g) if not is_bipartite_subset(g, comp) for v in comp
     )
     pools = [(s, pool & within) for s, pool in pools if within >> s & 1]
+    adj = g.neighbor_masks()
     upper = None
     for s, pool in pools:
-        for cyc in induced_cycle_search(
-            g, [s], floor=s, allowed=pool, deadline=deadline
-        ):
+        for cyc in induced_cycle_search(adj, [s], floor=s, allowed=pool, deadline=deadline):
             if len(cyc) % 2 == 1 and len(cyc) >= min_len:
                 upper = len(cyc)
                 break
@@ -511,10 +495,10 @@ def _long_odd_hole(
     for length in range(min_len, upper + 1, 2):
         for s, pool in pools:
             if s not in dists:
-                dists[s] = _pool_distances(g, s, pool, g.n)
+                dists[s] = _pool_distances(adj, s, pool, g.n)
             hits = list(
                 induced_cycle_search(
-                    g, [s], floor=s, exact=length, allowed=pool, dist=dists[s], deadline=deadline
+                    adj, [s], floor=s, exact=length, allowed=pool, dist=dists[s], deadline=deadline
                 )
             )
             if hits:
@@ -527,19 +511,19 @@ def _long_odd_hole(
 
 
 def forbidden_cycle_through_edge(
-    g: Graph, u: int, v: int, cspec: ClassSpec, deadline: Deadline | None = None
+    adj: Sequence[int], u: int, v: int, cspec: ClassSpec, within: int,
+    deadline: Deadline | None = None,
 ) -> tuple[int, ...] | None:
-    """Some induced cycle through edge (u, v) whose length the class bans, or None.
-
-    Every cycle through the edge lies in the 2-core of u's component.
-    """
-    if not g.has_edge(u, v):
+    """Some induced cycle through edge (u, v) whose length the class bans, or
+    None.  ``within`` is a vertex mask holding u's component; every cycle
+    through the edge lies in its 2-core."""
+    if not adj[u] >> v & 1:
         raise GraphError(f"({u}, {v}) is not an edge")
-    core = _two_core(g, bfs_distances(g, [u]))
-    if u not in core or v not in core:
+    core = _two_core(adj, within)
+    if not (core >> u & 1 and core >> v & 1):
         return None
     for cyc in induced_cycle_search(
-        g, [u, v], floor=-1, max_len=len(core), allowed=vertex_mask(core), deadline=deadline
+        adj, [u, v], floor=-1, max_len=core.bit_count(), allowed=core, deadline=deadline
     ):
         if cspec.forbids(len(cyc)):
             return cyc
@@ -596,14 +580,14 @@ def is_induced_cycle(g: Graph, cycle: Iterable[int]) -> bool:
     """True when the sequence is a chordless cycle of the graph."""
     cyc = tuple(cycle)
     k = len(cyc)
-    if k < 3 or len(set(cyc)) != k:
+    on_cycle = set(cyc)
+    if k < 3 or len(on_cycle) != k or not 0 <= min(cyc) <= max(cyc) < g.n:
         return False
-    for i in range(k):
-        for j in range(i + 1, k):
-            consecutive = (j - i == 1) or (i == 0 and j == k - 1)
-            if g.has_edge(cyc[i], cyc[j]) != consecutive:
-                return False
-    return True
+    # Induced iff each vertex's neighbors on the cycle are its two cycle
+    # neighbors: k walks over neighborhoods, not k(k-1)/2 pair tests.
+    return all(
+        g.neighbors(x) & on_cycle == {cyc[i - 1], cyc[(i + 1) % k]} for i, x in enumerate(cyc)
+    )
 
 
 def witness_violates(g: Graph, witness: HoleWitness, cspec: ClassSpec) -> bool:

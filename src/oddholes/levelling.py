@@ -563,7 +563,7 @@ def _constrained_induced_path(
         # An induced u-v path of this many edges is an induced cycle of one
         # more vertex through the non-edge v-u, reported from v as (v, u, ...).
         for cyc in induced_cycle_search(
-            g, [v, u], floor=-1, exact=edges + 1, allowed=allowed, dist=dist_to_v,
+            g.neighbor_masks(), [v, u], floor=-1, exact=edges + 1, allowed=allowed, dist=dist_to_v,
             deadline=deadline,
         ):
             return cyc[1:] + cyc[:1]

@@ -4,8 +4,9 @@ These deliberately share no code with the package's search routines: the
 cycle enumerator checks every vertex subset, and the chromatic oracle
 enumerates raw color assignments.  The set-based induced-cycle search, the
 sweeping 2-core, the recursive k-colorability search, the set-based
-DSATUR, the four-check edge test, the all-roots girth and the all-anchor
-fixed-length cycle search are the package's earlier implementations,
+DSATUR, the four-check edge test, the all-roots girth, the all-anchor
+fixed-length cycle search and the pairwise chordless-cycle test are the
+package's earlier implementations,
 kept as references for the order and the results of their replacements.
 The four-check edge test and the all-anchor search run the package's
 induced-cycle engine: they check how the work splits into cases and
@@ -110,7 +111,9 @@ def all_anchor_cycles_of_length(g: Graph, length: int) -> list[tuple[int, ...]]:
     """Induced cycles of one length from every anchor, pruned by
     whole-graph distances, sorted."""
     out = [
-        cyc for s in range(g.n) for cyc in induced_cycle_search(g, [s], floor=s, exact=length)
+        cyc
+        for s in range(g.n)
+        for cyc in induced_cycle_search(g.neighbor_masks(), [s], floor=s, exact=length)
     ]
     return sorted(out, key=lambda c: (len(c), c))
 
@@ -180,6 +183,20 @@ def sweep_two_core(g: Graph, within: Iterable[int]) -> set[int]:
     return core
 
 
+def pairwise_is_induced_cycle(g: Graph, cycle: Iterable[int]) -> bool:
+    """Chordless-cycle test over all k(k-1)/2 vertex pairs of the sequence."""
+    cyc = tuple(cycle)
+    k = len(cyc)
+    if k < 3 or len(set(cyc)) != k:
+        return False
+    for i in range(k):
+        for j in range(i + 1, k):
+            consecutive = (j - i == 1) or (i == 0 and j == k - 1)
+            if g.has_edge(cyc[i], cyc[j]) != consecutive:
+                return False
+    return True
+
+
 def four_check_edge_admissible(
     g_before: Graph, g_after: Graph, u: int, v: int, cspec: ClassSpec
 ) -> bool:
@@ -191,14 +208,17 @@ def four_check_edge_admissible(
     if d is not None and d + 1 < cspec.girth_min:
         return False
     for length, banned in ((5, cspec.forbids_five_hole), (7, cspec.forbids_seven_hole)):
-        if banned and next(induced_cycle_search(g_after, [u, v], floor=-1, exact=length), None):
+        if banned and next(
+            induced_cycle_search(g_after.neighbor_masks(), [u, v], floor=-1, exact=length), None
+        ):
             return False
     if not is_bipartite_subset(g_after):
         comp = next(c for c in components(g_after) if u in c)
         core = sweep_two_core(g_after, comp)
         if u in core and v in core:
             for cyc in induced_cycle_search(
-                g_after, [u, v], floor=-1, max_len=len(core), allowed=vertex_mask(core)
+                g_after.neighbor_masks(), [u, v], floor=-1, max_len=len(core),
+                allowed=vertex_mask(core),
             ):
                 if len(cyc) % 2 == 1 and len(cyc) >= cspec.odd_hole_min:
                     return False

@@ -26,7 +26,19 @@ from oddholes import (
     to_graph6,
 )
 from oddholes.generate import _edge_admissible
+from oddholes.util import Deadline, DeadlineExceeded
 from naive_oracles import four_check_edge_admissible
+
+
+class CheckCounter(Deadline):
+    """A deadline that never expires and counts its checks."""
+
+    def __init__(self) -> None:
+        super().__init__(None)
+        self.checks = 0
+
+    def check(self) -> None:
+        self.checks += 1
 
 
 class TestNamedGraphs:
@@ -138,6 +150,16 @@ class TestRandomInClass:
         assert result.added == result.graph.m
         assert result.degenerate is False
 
+    def test_expired_deadline_stops_a_forest(self):
+        # Every attempt of this forest-density spec is decided by the BFS
+        # alone (no search through an edge runs), so only the per-attempt
+        # check can see the deadline.
+        gs = GenSpec(ClassSpec("A", 3), 400, 0.0005, 1)
+        counter = CheckCounter()
+        assert generate_member(gs, counter).attempts == counter.checks == 40
+        with pytest.raises(DeadlineExceeded):
+            generate_member(gs, Deadline(-1.0))
+
     def test_retry_budget_stops_early(self):
         gs_free = GenSpec(ClassSpec("G", 2), 18, 1.0, 4, retry_budget=0)
         gs_cut = GenSpec(ClassSpec("G", 2), 18, 1.0, 4, retry_budget=3)
@@ -185,21 +207,27 @@ SPEC_IDS = ["G2", "G3", "A2", "A3", "B2", "B3", "B3-seven-hole-free", "F2"]
 class TestEdgeAdmissibility:
     @pytest.mark.parametrize("cspec", ADMISSIBILITY_SPECS, ids=SPEC_IDS)
     def test_one_bfs_test_matches_four_checks(self, cspec):
-        # Replays generate_member attempt by attempt, asking both tests.
+        # Replays generate_member attempt by attempt on one mask list, asking
+        # both tests; an attempt changes the masks by exactly its edge or not
+        # at all.
         for n, seed, degree in itertools.product((24, 30, 36), (1, 2), (4.0, 6.0)):
             gs = GenSpec(cspec, n, degree / n, seed)
             pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
             SplitMix64(seed).shuffle(pairs)
             edges: list[tuple[int, int]] = []
-            current = Graph(n)
+            adj = [0] * n
             for u, v in pairs[: round(gs.density * len(pairs))]:
+                current = Graph(n, edges)
                 candidate = Graph(n, edges + [(u, v)])
-                verdict = _edge_admissible(current, u, v, cspec, None)
+                before = list(adj)
+                verdict = _edge_admissible(adj, u, v, cspec, None)
                 assert verdict == four_check_edge_admissible(current, candidate, u, v, cspec)
                 if verdict:
+                    before[u] |= 1 << v
+                    before[v] |= 1 << u
                     edges.append((u, v))
-                    current = candidate
-            assert current == generate_member(gs).graph
+                assert adj == before
+            assert tuple(adj) == generate_member(gs).graph.neighbor_masks()
 
     @pytest.mark.parametrize("cspec", ADMISSIBILITY_SPECS, ids=SPEC_IDS)
     def test_cycle_membership_is_forbids(self, cspec):
@@ -231,3 +259,44 @@ class TestPinnedCorpora:
         assert (res.attempts, res.added, res.rejected, res.degenerate) == (
             attempts, added, rejected, False
         )
+
+    # Classes that coincide give equal digests: A2 with and without the
+    # seven-hole flag, B2 and B3 with it, G2 with it and F2.
+    GRID_DIGESTS = {
+        ("G", 2, False): "73b2d5fac144301fc4b807f6f81a2a2fdf5601435069018522b63e9ca05996ca",
+        ("G", 2, True): "d3b28aad6fa0c4dd1a08d93cf9d0e18e43c8d4eaf0be51f08f3746ec811ab5d9",
+        ("G", 3, False): "6012b5e100aae40a5b1cd03325e5f0bd142a4268c2d9cb2c1d57d6b056251adf",
+        ("G", 3, True): "85730897b4283517c3d2b76807de2c01129a613b5e6fa51220ba6e035140b353",
+        ("A", 2, False): "c12ac39676f745c9f924d7cb48ef004081292df4bf7db188828cb4238fc0d439",
+        ("A", 2, True): "c12ac39676f745c9f924d7cb48ef004081292df4bf7db188828cb4238fc0d439",
+        ("A", 3, False): "c7545449465aff5bbd8bd3c8660259abcd2778ce5faffcc6bb5b51406c6b8fd8",
+        ("A", 3, True): "3642102330eb3c73ba8c9ecbcda6bddcfc01359dec224c38fdaeafb9c78ef1c5",
+        ("B", 2, False): "158c4afaa35ed0f7ae83f676fb3da8a467bc1b7f687dffdc778c9edc2dbb01e2",
+        ("B", 2, True): "158c4afaa35ed0f7ae83f676fb3da8a467bc1b7f687dffdc778c9edc2dbb01e2",
+        ("B", 3, False): "912c7dbf9a649bb690d33db9c0af9fe052477880ef539c03eeab7e12e00af4c0",
+        ("B", 3, True): "158c4afaa35ed0f7ae83f676fb3da8a467bc1b7f687dffdc778c9edc2dbb01e2",
+        ("F", 2, False): "d3b28aad6fa0c4dd1a08d93cf9d0e18e43c8d4eaf0be51f08f3746ec811ab5d9",
+        ("F", 2, True): "d3b28aad6fa0c4dd1a08d93cf9d0e18e43c8d4eaf0be51f08f3746ec811ab5d9",
+        ("F", 3, False): "a51c9f27ef09a7d94e9397e663d2f8fa07547443cba6f69de7d09a7ec5fdc2b0",
+        ("F", 3, True): "3faee18d9f2710e27d5aae816f5c3aa132b88c2f244cfe70fb4f89b4ecf0e5f6",
+    }
+
+    @pytest.mark.parametrize(
+        "key", GRID_DIGESTS, ids=[f"{f}{ell}{'-seven-hole-free' * flag}" for f, ell, flag in GRID_DIGESTS]
+    )
+    def test_grid_bytes_and_counters(self, key):
+        # n 20/30/40 at density 0.2, seeds 0-2; seed 2 with a retry budget of 5.
+        digest = hashlib.sha256()
+        for n, seed in itertools.product((20, 30, 40), (0, 1, 2)):
+            gs = GenSpec(ClassSpec(*key), n, 0.2, seed, retry_budget=5 if seed == 2 else 0)
+            res = generate_member(gs)
+            line = f"{to_graph6(res.graph)} {res.attempts} {res.added} {res.rejected} {res.degenerate}\n"
+            digest.update(line.encode())
+        assert digest.hexdigest() == self.GRID_DIGESTS[key]
+
+    def test_search_checks(self):
+        # 1478 checks inside the searches through edges, plus one per attempt.
+        counter = CheckCounter()
+        res = generate_member(GenSpec(ClassSpec("G", 2), 56, 3.5 / 56, 13), counter)
+        assert res.attempts == 96
+        assert counter.checks == 1478 + 96

@@ -28,6 +28,7 @@ from naive_oracles import (
     all_anchor_cycles_of_length,
     all_roots_girth,
     naive_induced_cycles,
+    pairwise_is_induced_cycle,
     planted_odd_hole,
     random_graph,
     set_induced_cycle_search,
@@ -188,13 +189,13 @@ class TestFindLongOddHole:
     def test_through_edge_searches_require_an_edge(self):
         from oddholes.holes import forbidden_cycle_through_edge
 
-        g = cycle_graph(6)
-        assert forbidden_cycle_through_edge(g, 0, 1, ClassSpec("A", 4)) == tuple(range(6))
-        assert forbidden_cycle_through_edge(g, 0, 1, ClassSpec("B", 2)) is None
+        adj, everything = cycle_graph(6).neighbor_masks(), (1 << 6) - 1
+        assert forbidden_cycle_through_edge(adj, 0, 1, ClassSpec("A", 4), everything) == tuple(range(6))
+        assert forbidden_cycle_through_edge(adj, 0, 1, ClassSpec("B", 2), everything) is None
         with pytest.raises(GraphError, match="not an edge"):
-            forbidden_cycle_through_edge(g, 0, 2, ClassSpec("A", 4))
+            forbidden_cycle_through_edge(adj, 0, 2, ClassSpec("A", 4), everything)
         with pytest.raises(GraphError, match="not an edge"):
-            forbidden_cycle_through_edge(g, 0, 3, ClassSpec("B", 2))
+            forbidden_cycle_through_edge(adj, 0, 3, ClassSpec("B", 2), everything)
 
 
 class TestSearchDepth:
@@ -204,14 +205,16 @@ class TestSearchDepth:
         from oddholes.holes import forbidden_cycle_through_edge
 
         # Girth bound 3002: the cycle is banned as too short.
-        got = forbidden_cycle_through_edge(cycle_graph(3001), 0, 1, ClassSpec("A", 1501))
+        adj = cycle_graph(3001).neighbor_masks()
+        got = forbidden_cycle_through_edge(adj, 0, 1, ClassSpec("A", 1501), (1 << 3001) - 1)
         assert got == tuple(range(3001))
 
     def test_odd_cycle_through_edge_of_c3001(self):
         from oddholes.holes import forbidden_cycle_through_edge
 
         # Odd holes from length 9 on are banned.
-        got = forbidden_cycle_through_edge(cycle_graph(3001), 0, 1, ClassSpec("B", 3))
+        adj = cycle_graph(3001).neighbor_masks()
+        got = forbidden_cycle_through_edge(adj, 0, 1, ClassSpec("B", 3), (1 << 3001) - 1)
         assert got == tuple(range(3001))
 
 
@@ -255,7 +258,7 @@ class TestBitmaskEngine:
                     expected = list(set_induced_cycle_search(g, path0, floor=floor, **kwargs))
                     if "allowed" in kwargs:
                         kwargs = dict(kwargs, allowed=vertex_mask(kwargs["allowed"]))
-                    got = list(induced_cycle_search(g, path0, floor=floor, **kwargs))
+                    got = list(induced_cycle_search(g.neighbor_masks(), path0, floor=floor, **kwargs))
                     assert got == expected, (seed, path0, kwargs)
                     hits += len(got)
         assert hits > 1000  # the cases exercise the search, not just empty pools
@@ -263,13 +266,15 @@ class TestBitmaskEngine:
     def test_two_core_matches_sweep(self):
         import random
 
+        from oddholes.graph import mask_vertices, vertex_mask
         from oddholes.holes import _two_core
 
         for seed in range(30):
             g = random_graph(30, 0.04 + 0.005 * (seed % 10), seed)
             rng = random.Random(seed)
             within = [v for v in range(g.n) if rng.random() < 0.8]
-            assert _two_core(g, within) == sweep_two_core(g, within)
+            core = _two_core(g.neighbor_masks(), vertex_mask(within))
+            assert set(mask_vertices(core)) == sweep_two_core(g, within)
 
     def test_anchor_pools_are_two_cores_above_the_anchor(self):
         from oddholes.graph import mask_vertices
@@ -491,6 +496,73 @@ class TestClassMembership:
             ClassSpec("X", 2)
         with pytest.raises(GraphError, match=">= 2"):
             ClassSpec("G", 1)
+
+
+class TestInducedCycleCheck:
+    """is_induced_cycle walks each vertex's neighbors; it gives the answers
+    of the pairwise test it replaced."""
+
+    @staticmethod
+    def _sequences(g, rng):
+        """Induced cycles, their rotations and reversals, cycles with chords
+        (closed random walks), and broken copies: a repeated vertex, a
+        swapped pair, a dropped vertex, and prefixes shorter than three."""
+        out = [list(c.cycle) for c in enumerate_induced_cycles(g, 8)]
+        for _ in range(200):
+            walk = [rng.randrange(g.n)]
+            while True:
+                free = sorted(g.neighbors(walk[-1]) - set(walk))
+                if not free:
+                    break
+                walk.append(rng.choice(free))
+                if len(walk) >= 3 and g.has_edge(walk[-1], walk[0]):
+                    out.append(list(walk))
+        for cyc in list(out):
+            i = rng.randrange(len(cyc))
+            out += [cyc[i:] + cyc[:i], cyc[::-1], cyc + [cyc[i]], cyc[:i] + cyc[i + 1:], cyc[:2]]
+            j = rng.randrange(len(cyc))
+            swapped = list(cyc)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            out.append(swapped)
+        return out
+
+    def test_matches_pairwise_test(self):
+        import random
+
+        answers = []
+        for seed in range(12):
+            g = random_graph(14, 0.2 + 0.02 * (seed % 6), seed)
+            for seq in self._sequences(g, random.Random(seed)):
+                expected = pairwise_is_induced_cycle(g, seq)
+                assert is_induced_cycle(g, seq) == expected, (seed, seq)
+                answers.append(expected)
+        assert answers.count(True) > 500 and answers.count(False) > 500
+
+    def test_hand_made_non_cycles(self):
+        c6 = cycle_graph(6)
+        chorded = Graph(6, c6.edges() + [(0, 3)])
+        cases = [
+            (c6, ()), (c6, (0,)), (c6, (0, 1)), (c6, (0, 1, 0)),
+            (c6, (0, 1, 2, 3, 4, 5, 0)), (c6, (0, 1, 2, 1, 4, 5)),
+            (c6, (0, 1, 2, 3, 5, 4)), (c6, (0, 1, 2, 3, 4)),
+            (chorded, tuple(range(6))), (Graph(3, [(0, 1), (1, 2)]), (0, 1, 2)),
+        ]
+        for g, seq in cases:
+            assert not is_induced_cycle(g, seq), seq
+            assert not pairwise_is_induced_cycle(g, seq), seq
+        assert is_induced_cycle(chorded, (0, 1, 2, 3)) and is_induced_cycle(c6, (3, 2, 1, 0, 5, 4))
+
+    def test_vertices_outside_the_graph_are_no_cycle(self):
+        c6 = cycle_graph(6)
+        assert not is_induced_cycle(c6, (0, 1, 2, 3, 4, 6))
+        assert not is_induced_cycle(c6, (-1, 0, 1, 2, 3, 4))
+
+    def test_planted_c151_witness(self):
+        g, hole = planted_odd_hole(151, 3)
+        witness = class_membership(g, ClassSpec("G", 2)).witness
+        assert set(witness.cycle) == hole
+        assert is_induced_cycle(g, witness.cycle) and witness_violates(g, witness, ClassSpec("G", 2))
+        assert not witness_violates(g, witness, ClassSpec("G", 75))
 
 
 class TestAttachmentProfiles:

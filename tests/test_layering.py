@@ -1,5 +1,6 @@
-"""Module layering: every import sits at module level, and the package's
-imports of its own modules form a directed acyclic graph."""
+"""Module layering: every import sits at module level, the package's
+imports of its own modules form a directed acyclic graph, and no module
+imports another's private (underscore-prefixed) names."""
 
 import ast
 from pathlib import Path
@@ -55,3 +56,16 @@ def test_package_imports_form_a_dag():
 
     for name in sorted(deps):
         visit(name, [])
+
+
+def test_no_private_names_across_modules():
+    private = [
+        f"{name}.py:{node.lineno} {alias.name}"
+        for name, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level == 1 or (node.module or "").startswith("oddholes"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
