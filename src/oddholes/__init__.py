@@ -11,7 +11,6 @@ seeded generation of class members.
 from .coloring import (
     Coloring,
     dsatur,
-    four_color_a3,
     four_color_a3_components,
     is_proper,
 )
@@ -48,7 +47,6 @@ from .graph import (
     induced_subgraph,
     is_bipartite_subset,
     is_induced_path,
-    is_path,
     parse_graph,
     parse_graph6,
     parse_edge_list,

@@ -11,14 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import (
-    Graph,
-    GraphError,
-    bfs_distances,
-    bipartition_or_odd_cycle,
-    components,
-    induced_subgraph,
-)
+from .graph import Graph, bfs_levels, bipartition_or_odd_cycle, mask_vertices
 from .util import Deadline
 
 
@@ -120,43 +113,26 @@ def dsatur(g: Graph) -> Coloring:
     return Coloring(saturation_search(g, g.n))
 
 
-def four_color_a3(g: Graph) -> tuple[Coloring | None, tuple[int, ...] | None]:
-    """Color a connected graph with <= 4 colors via BFS layers, or exhibit why not.
-
-    Layers are rooted at vertex 0.  Each layer is 2-colored; the final color
-    is ``2 * (layer parity) + layer color``, proper by construction because
-    edges join only consecutive layers or stay inside one.  If some layer is
-    not bipartite, the odd cycle found inside it is returned as evidence
-    that the graph is not in class A with ell = 3; success does not certify
-    membership.
-    """
-    if g.n == 0:
-        return Coloring({}), None
-    if len(components(g)) != 1:
-        raise GraphError("four_color_a3 requires a connected graph; color components separately")
-    dist = bfs_distances(g, [0])
-    layers: list[list[int]] = [[] for _ in range(max(dist.values()) + 1)]
-    for v, d in dist.items():
-        layers[d].append(v)
-    assignment: dict[int, int] = {}
-    for i, layer in enumerate(layers):
-        two_coloring, odd_cycle = bipartition_or_odd_cycle(g, layer)
-        if odd_cycle is not None:
-            return None, odd_cycle
-        base = 2 * (i % 2)
-        for v, c in two_coloring.items():
-            assignment[v] = base + c + 1
-    return Coloring(assignment), None
-
-
 def four_color_a3_components(g: Graph) -> tuple[Coloring | None, tuple[int, ...] | None]:
-    """Apply the layered colorer per component and merge the colorings."""
-    merged: dict[int, int] = {}
-    for comp in components(g):
-        sub, _, from_sub = induced_subgraph(g, comp)
-        coloring, evidence = four_color_a3(sub)
-        if evidence is not None:
-            return None, tuple(from_sub[v] for v in evidence)
-        for v, c in coloring.assignment.items():
-            merged[from_sub[v]] = c
-    return Coloring(merged), None
+    """Color a graph with <= 4 colors via BFS layers, or exhibit why not.
+
+    Each component is layered from its least vertex.  Each layer is
+    2-colored; the final color is ``2 * (layer parity) + layer color``,
+    proper by construction because edges join only consecutive layers or
+    stay inside one.  If some layer is not bipartite, the odd cycle found
+    inside it is returned as evidence that the graph is not in class A with
+    ell = 3; success does not certify membership.
+    """
+    adj = g.neighbor_masks()
+    assignment: dict[int, int] = {}
+    rest = (1 << g.n) - 1
+    while rest:
+        for i, layer in enumerate(bfs_levels(adj, rest & -rest)):
+            rest ^= layer
+            two_coloring, odd_cycle = bipartition_or_odd_cycle(g, mask_vertices(layer))
+            if odd_cycle is not None:
+                return None, odd_cycle
+            base = 2 * (i % 2)
+            for v, c in two_coloring.items():
+                assignment[v] = base + c + 1
+    return Coloring(assignment), None

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from math import isqrt
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 class GraphError(Exception):
@@ -268,66 +268,57 @@ def mask_vertices(mask: int) -> Iterator[int]:
 # traversal primitives
 
 
-def bfs_distances(g: Graph, sources: Iterable[int], within: frozenset[int] | set[int] | None = None) -> dict[int, int]:
-    """Distances from the nearest source, restricted to ``within`` if given."""
-    dist: dict[int, int] = {}
-    queue: deque[int] = deque()
-    for s in sources:
-        if within is not None and s not in within:
-            continue
-        if s not in dist:
-            dist[s] = 0
-            queue.append(s)
-    while queue:
-        u = queue.popleft()
-        for w in g.neighbors(u):
-            if w in dist or (within is not None and w not in within):
-                continue
-            dist[w] = dist[u] + 1
-            queue.append(w)
-    return dist
+def bfs_levels(
+    adj: Sequence[int], sources: int, within: int = -1, depth: int | None = None
+) -> list[int]:
+    """Breadth-first levels over the neighbor masks ``adj``: entry d is the
+    mask of the vertices at distance d from the vertex mask ``sources``,
+    walking only inside the mask ``within``, for d up to ``depth`` (all
+    levels when None).  Sources outside ``within`` are dropped, and no level
+    is empty, so the list has no entry at all when none is left.  The levels
+    are disjoint, so their sum is the ball of radius ``depth``."""
+    levels: list[int] = []
+    seen = level = sources & within
+    while level:
+        levels.append(level)
+        if len(levels) - 1 == depth:
+            break
+        reached = 0
+        for v in mask_vertices(level):
+            reached |= adj[v]
+        level = reached & within & ~seen
+        seen |= level
+    return levels
+
+
+def bfs_distances(
+    adj: Sequence[int], sources: int, within: int = -1, depth: int | None = None
+) -> dict[int, int]:
+    """:func:`bfs_levels` as a map from each vertex reached to its distance."""
+    levels = bfs_levels(adj, sources, within, depth)
+    return {v: d for d, level in enumerate(levels) for v in mask_vertices(level)}
+
+
+def _component_masks(adj: Sequence[int], within: int) -> Iterator[int]:
+    """The components of the subgraph induced on the mask ``within``, as
+    masks, by least vertex: each is the ball around its least vertex."""
+    while within:
+        comp = sum(bfs_levels(adj, within & -within, within))
+        yield comp
+        within ^= comp
 
 
 def components(g: Graph) -> list[list[int]]:
     """Connected components as sorted vertex lists, ordered by minimum vertex."""
-    seen: set[int] = set()
-    out: list[list[int]] = []
-    for root in range(g.n):
-        if root in seen:
-            continue
-        comp = [root]
-        seen.add(root)
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w in g.neighbors(u):
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    queue.append(w)
-        out.append(sorted(comp))
-    return out
+    return [list(mask_vertices(c)) for c in _component_masks(g.neighbor_masks(), (1 << g.n) - 1)]
 
 
 def components_of_subset(g: Graph, subset: Iterable[int]) -> list[frozenset[int]]:
     """Components of the subgraph induced on ``subset``, ordered by minimum vertex."""
-    remaining = set(subset)
-    out: list[frozenset[int]] = []
-    for root in sorted(remaining):
-        if root not in remaining:
-            continue
-        comp = {root}
-        remaining.discard(root)
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w in g.neighbors(u):
-                if w in remaining:
-                    remaining.discard(w)
-                    comp.add(w)
-                    queue.append(w)
-        out.append(frozenset(comp))
-    return out
+    vs = set(subset)
+    if vs and not 0 <= min(vs) <= max(vs) < g.n:
+        raise GraphError(f"subset vertex out of range for n={g.n}")
+    return [frozenset(mask_vertices(c)) for c in _component_masks(g.neighbor_masks(), vertex_mask(vs))]
 
 
 def _canonical_rotation(cycle: list[int]) -> tuple[int, ...]:
@@ -413,21 +404,15 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int
     return Graph(len(from_sub), edges), to_sub, from_sub
 
 
-def is_path(g: Graph, seq: Iterable[int]) -> bool:
-    """True when ``seq`` is a path: distinct vertices, consecutive adjacent."""
-    vs = list(seq)
-    if len(vs) != len(set(vs)):
-        return False
-    return all(g.has_edge(a, b) for a, b in zip(vs, vs[1:]))
-
-
 def is_induced_path(g: Graph, seq: Iterable[int]) -> bool:
-    """True when ``seq`` is a path with no adjacency between non-consecutive vertices."""
+    """True when ``seq`` is a path of distinct vertices with no edge between
+    non-consecutive ones."""
     vs = list(seq)
-    if not is_path(g, vs):
+    on_path = set(vs)
+    if len(on_path) != len(vs) or (vs and not 0 <= min(vs) <= max(vs) < g.n):
         return False
-    for i, a in enumerate(vs):
-        for b in vs[i + 2:]:
-            if g.has_edge(a, b):
-                return False
-    return True
+    # Induced iff each vertex's neighbors on the path are exactly the
+    # vertices next to it in the sequence.
+    return all(
+        g.neighbors(x) & on_path == set(vs[max(i - 1, 0):i + 2]) - {x} for i, x in enumerate(vs)
+    )

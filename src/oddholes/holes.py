@@ -29,7 +29,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .graph import Graph, GraphError, components, is_bipartite_subset, mask_vertices, vertex_mask
+from .graph import (
+    Graph,
+    GraphError,
+    bfs_distances,
+    components,
+    is_bipartite_subset,
+    mask_vertices,
+    vertex_mask,
+)
 from .util import Deadline, check_deadline
 
 TRIANGLE = "triangle"
@@ -235,7 +243,7 @@ def induced_cycle_search(
     anchor = path0[0]
     anchor_adj = adj[anchor]
     if exact is not None and dist is None:
-        dist = _pool_distances(adj, anchor, -1, len(adj))
+        dist = bfs_distances(adj, 1 << anchor)
     canonical = len(path0) == 1
     unbounded = exact is None and max_len is None
     path = list(path0)
@@ -378,7 +386,7 @@ def _cycles_through(
     """The induced cycles of this length whose least vertex is s.  Vertices
     of the pool farther than length // 2 from s lie on none of them."""
     adj = g.neighbor_masks()
-    dist = _pool_distances(adj, s, pool, length // 2)
+    dist = bfs_distances(adj, 1 << s, pool, length // 2)
     return list(
         induced_cycle_search(
             adj, [s], floor=s, exact=length, allowed=pool, dist=dist, deadline=deadline
@@ -434,22 +442,6 @@ def _anchor_pools(g: Graph, within: Iterable[int]) -> list[tuple[int, int]]:
     return pools
 
 
-def _pool_distances(adj: Sequence[int], s: int, pool: int, depth: int) -> dict[int, int]:
-    """Distances from s inside the pool, up to ``depth``."""
-    dist = {s: 0}
-    seen = level = 1 << s
-    for d in range(1, depth + 1):
-        reached = 0
-        for u in mask_vertices(level):
-            reached |= adj[u]
-        level = reached & pool & ~seen
-        if not level:
-            break
-        seen |= level
-        dist.update(dict.fromkeys(mask_vertices(level), d))
-    return dist
-
-
 def find_long_odd_hole(
     g: Graph, min_len: int, deadline: Deadline | None = None
 ) -> tuple[int, ...] | None:
@@ -495,7 +487,7 @@ def _long_odd_hole(
     for length in range(min_len, upper + 1, 2):
         for s, pool in pools:
             if s not in dists:
-                dists[s] = _pool_distances(adj, s, pool, g.n)
+                dists[s] = bfs_distances(adj, 1 << s, pool)
             hits = list(
                 induced_cycle_search(
                     adj, [s], floor=s, exact=length, allowed=pool, dist=dists[s], deadline=deadline

@@ -28,10 +28,12 @@ from .graph import (
     Graph,
     GraphError,
     bfs_distances,
+    bfs_levels,
     components_of_subset,
     induced_subgraph,
     is_bipartite_subset,
     is_induced_path,
+    mask_vertices,
     vertex_mask,
 )
 from .holes import ClassSpec, class_membership, induced_cycle_search
@@ -86,19 +88,8 @@ def bfs_layers(g: Graph, root: int) -> Levelling:
     """Distance layers from the root, covering exactly its component."""
     if not 0 <= root < g.n:
         raise GraphError(f"root {root} out of range for n={g.n}")
-    seen = {root}
-    layers: list[frozenset[int]] = []
-    frontier = [root]
-    while frontier:
-        layers.append(frozenset(frontier))
-        nxt: list[int] = []
-        for u in frontier:
-            for w in sorted(g.neighbors(u)):
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = sorted(set(nxt))
-    return Levelling(tuple(layers), g)
+    layers = bfs_levels(g.neighbor_masks(), 1 << root)
+    return Levelling(tuple(frozenset(mask_vertices(layer)) for layer in layers), g)
 
 
 def validate_levelling(g: Graph, levels: Iterable[Iterable[int]]) -> str | None:
@@ -343,6 +334,9 @@ class Lollipop:
 
 
 def validate_lollipop(g: Graph, lp: Lollipop) -> str | None:
+    for v in (*lp.core, *lp.stick):
+        if not 0 <= v < g.n:
+            return f"vertex {v} out of range for n={g.n}"
     if len(lp.stick) < 2:
         return "stick must have at least two vertices"
     if not lp.core:
@@ -366,11 +360,10 @@ def cleanliness(g: Graph, lp: Lollipop) -> int:
     err = validate_lollipop(g, lp)
     if err:
         raise GraphError(f"invalid lollipop: {err}")
-    dist = bfs_distances(g, lp.core)
+    ball = sum(bfs_levels(g.neighbor_masks(), vertex_mask(lp.core), depth=2))
     count = 0
     for t in lp.stick:
-        d = dist.get(t)
-        if d is not None and d < 3:
+        if ball >> t & 1:
             break
         count += 1
     return count
@@ -437,21 +430,13 @@ def find_licking(
     target_clean = base_clean + gain
     target_chi = chi_core - gain * loss_rate
     core = lp.core
+    adj = g.neighbor_masks()
+    core_mask = vertex_mask(core)
     ball2: dict[int, frozenset[int]] = {}
 
     def ball2_of(v: int) -> frozenset[int]:
         if v not in ball2:
-            dist = {v: 0}
-            frontier = [v]
-            for _ in range(2):
-                nxt = []
-                for u in frontier:
-                    for w in g.neighbors(u):
-                        if w not in dist:
-                            dist[w] = dist[u] + 1
-                            nxt.append(w)
-                frontier = nxt
-            ball2[v] = frozenset(dist) & core
+            ball2[v] = frozenset(mask_vertices(sum(bfs_levels(adj, 1 << v, depth=2)) & core_mask))
         return ball2[v]
 
     def try_close(path: list[int]) -> Lollipop | None:
@@ -549,12 +534,11 @@ def _constrained_induced_path(
         # only induced path between them.
         return (u, v) if parity in ("any", "odd") else None
     interior = set(interior_pool) - {u, v}
-    span = interior | {u, v}
-    dist_to_v = bfs_distances(g, [v], within=span)
+    allowed = vertex_mask(interior)
+    dist_to_v = bfs_distances(g.neighbor_masks(), 1 << v, allowed | 1 << u | 1 << v)
     shortest = dist_to_v.get(u)
     if shortest is None:
         return None
-    allowed = vertex_mask(interior)
     for edges in range(shortest, len(interior) + 2):
         if parity == "even" and edges % 2 == 1:
             continue

@@ -29,10 +29,12 @@ from .graph import (
     Graph,
     GraphError,
     ParseError,
-    bfs_distances,
+    bfs_levels,
     components,
     is_bipartite_subset,
+    mask_vertices,
     parse_graph6,
+    vertex_mask,
 )
 from .holes import (
     ClassSpec,
@@ -168,8 +170,8 @@ def _stable_bfs_levellings(g: Graph, ctx: dict) -> list[Levelling]:
 
 
 def _sphere_within(g: Graph, scope: frozenset[int], z: int, radius: int) -> set[int]:
-    dist = bfs_distances(g, [z], within=scope)
-    return {v for v, d in dist.items() if d == radius}
+    levels = bfs_levels(g.neighbor_masks(), 1 << z, vertex_mask(scope), radius)
+    return set(mask_vertices(levels[radius])) if len(levels) > radius else set()
 
 
 def _small_holes(g: Graph, ctx: dict, length: int) -> list[tuple[int, ...]]:

@@ -2,27 +2,48 @@
 
 These deliberately share no code with the package's search routines: the
 cycle enumerator checks every vertex subset, and the chromatic oracle
-enumerates raw color assignments.  The set-based induced-cycle search, the
-sweeping 2-core, the recursive k-colorability search, the set-based
-DSATUR, the four-check edge test, the all-roots girth, the all-anchor
-fixed-length cycle search and the pairwise chordless-cycle test are the
-package's earlier implementations,
-kept as references for the order and the results of their replacements.
-The four-check edge test and the all-anchor search run the package's
-induced-cycle engine: they check how the work splits into cases and
-anchor pools, not the engine.
+enumerates raw color assignments.  The queue-over-sets breadth-first
+search, the set-based induced-cycle search, the sweeping 2-core, the
+recursive k-colorability search, the set-based DSATUR, the four-check
+edge test, the all-roots girth, the all-anchor fixed-length cycle search
+and the pairwise chordless-cycle test are the package's earlier
+implementations, kept as references for the order and the results of
+their replacements.  The four-check edge test and the all-anchor search
+run the package's induced-cycle engine: they check how the work splits
+into cases and anchor pools, not the engine.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from itertools import combinations, product
 from typing import Iterable, Iterator
 
-from oddholes import ClassSpec, Coloring, Graph, components, is_bipartite_subset
-from oddholes.graph import bfs_distances, vertex_mask
+from oddholes import ClassSpec, Coloring, Graph, is_bipartite_subset
+from oddholes.graph import vertex_mask
 from oddholes.holes import induced_cycle_search
 from oddholes.util import Deadline, check_deadline
+
+
+def set_bfs_distances(
+    g: Graph, sources: Iterable[int], within: set[int] | frozenset[int] | None = None
+) -> dict[int, int]:
+    """Distances from the nearest source, restricted to ``within`` if given,
+    by a queue over vertex sets."""
+    dist: dict[int, int] = {}
+    queue: deque[int] = deque()
+    for s in sources:
+        if (within is None or s in within) and s not in dist:
+            dist[s] = 0
+            queue.append(s)
+    while queue:
+        u = queue.popleft()
+        for w in g.neighbors(u):
+            if w not in dist and (within is None or w in within):
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
 
 
 def naive_induced_cycles(g: Graph, max_len: int) -> set[tuple[int, ...]]:
@@ -133,7 +154,7 @@ def set_induced_cycle_search(
     anchor = path0[0]
     anchor_adj = g.neighbors(anchor)
     if exact is not None and dist is None:
-        dist = bfs_distances(g, [anchor])
+        dist = set_bfs_distances(g, [anchor])
     canonical = len(path0) == 1
     path = list(path0)
     stack = [(iter(sorted(g.neighbors(path[-1]))), path[1:-1])]
@@ -204,7 +225,7 @@ def four_check_edge_admissible(
     exact 5- and 7-hole searches through the edge, a whole-graph
     bipartiteness test, then an odd-hole search in the 2-core of the
     edge's component."""
-    d = bfs_distances(g_before, [u]).get(v)
+    d = set_bfs_distances(g_before, [u]).get(v)
     if d is not None and d + 1 < cspec.girth_min:
         return False
     for length, banned in ((5, cspec.forbids_five_hole), (7, cspec.forbids_seven_hole)):
@@ -213,7 +234,7 @@ def four_check_edge_admissible(
         ):
             return False
     if not is_bipartite_subset(g_after):
-        comp = next(c for c in components(g_after) if u in c)
+        comp = set(set_bfs_distances(g_after, [u]))
         core = sweep_two_core(g_after, comp)
         if u in core and v in core:
             for cyc in induced_cycle_search(

@@ -34,7 +34,7 @@ from oddholes import (
     weak_stabilize,
 )
 from oddholes.levelling import STABLE, WEAK_STABLE
-from naive_oracles import brute_chromatic, naive_induced_cycles, random_graph
+from naive_oracles import brute_chromatic, naive_induced_cycles, random_graph, set_bfs_distances
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -84,9 +84,7 @@ def b_corpus():
 
 
 def _sphere(g, scope, z, radius):
-    from oddholes.graph import bfs_distances
-
-    dist = bfs_distances(g, [z], within=scope)
+    dist = set_bfs_distances(g, [z], within=scope)
     return {v for v, d in dist.items() if d == radius}
 
 

@@ -4,7 +4,6 @@ from oddholes import (
     ClassSpec,
     GenSpec,
     Graph,
-    GraphError,
     MembershipError,
     certified_class_color,
     class_bound,
@@ -12,7 +11,6 @@ from oddholes import (
     complete_bipartite,
     cycle_graph,
     dsatur,
-    four_color_a3,
     four_color_a3_components,
     grotzsch,
     is_proper,
@@ -50,13 +48,13 @@ class TestDsatur:
 class TestFourColorA3:
     def test_c6_two_colors(self):
         g = cycle_graph(6)
-        coloring, evidence = four_color_a3(g)
+        coloring, evidence = four_color_a3_components(g)
         assert evidence is None
         assert is_proper(g, coloring) and coloring.colors_used == 2
 
     def test_c7_layer_palette(self):
         g = cycle_graph(7)
-        coloring, evidence = four_color_a3(g)
+        coloring, evidence = four_color_a3_components(g)
         assert evidence is None and is_proper(g, coloring)
         assert coloring.colors_used <= 4
         # The last layer {3, 4} is a single edge at odd parity: colors 3, 4.
@@ -75,7 +73,7 @@ class TestFourColorA3:
 
     def test_grotzsch_yields_evidence(self):
         g = grotzsch()
-        coloring, evidence = four_color_a3(g)
+        coloring, evidence = four_color_a3_components(g)
         assert coloring is None
         assert len(evidence) % 2 == 1
         assert all(
@@ -84,10 +82,6 @@ class TestFourColorA3:
         )
         # Evidence certifies non-membership.
         assert not class_membership(g, ClassSpec("A", 3)).member
-
-    def test_disconnected_rejected(self):
-        with pytest.raises(GraphError, match="connected"):
-            four_color_a3(Graph(4, [(0, 1), (2, 3)]))
 
     def test_components_helper(self):
         g = Graph(13, [(i, (i + 1) % 6) for i in range(6)]
@@ -105,7 +99,7 @@ class TestFourColorA3:
             assert is_proper(g, coloring) and coloring.colors_used <= 4
 
     def test_empty_graph(self):
-        coloring, evidence = four_color_a3(Graph(0))
+        coloring, evidence = four_color_a3_components(Graph(0))
         assert evidence is None and coloring.colors_used == 0
 
 

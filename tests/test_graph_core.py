@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from oddholes import (
@@ -7,8 +9,10 @@ from oddholes import (
     bfs_layers,
     bipartition_or_odd_cycle,
     components,
+    components_of_subset,
     cycle_graph,
     induced_subgraph,
+    is_induced_path,
     parse_edge_list,
     parse_graph,
     parse_graph6,
@@ -17,7 +21,8 @@ from oddholes import (
     to_graph6,
     validate_levelling,
 )
-from naive_oracles import random_graph
+from oddholes.graph import bfs_distances, bfs_levels, mask_vertices, vertex_mask
+from naive_oracles import random_graph, set_bfs_distances
 
 
 class TestGraphType:
@@ -230,6 +235,74 @@ class TestDistanceAndComponents:
         assert [len(c) for c in components(g)] == [5, 2]
         assert components(Graph(0)) == []
         assert [len(c) for c in components(cycle_graph(5))] == [5]
+
+    def test_subset_out_of_range(self):
+        for subset in ([7], [-1, 0], [0, 5]):
+            with pytest.raises(GraphError, match="out of range"):
+                components_of_subset(cycle_graph(5), subset)
+
+    def test_bfs_matches_set_based_search(self):
+        # Sources inside and outside ``within``, an empty and a full
+        # ``within``, and every depth cut-off up to 2.
+        rng = random.Random(9)
+        for seed in range(30):
+            g = random_graph(rng.randint(1, 24), rng.choice([0.05, 0.12, 0.25]), seed)
+            adj = g.neighbor_masks()
+            for _ in range(4):
+                sources = {v for v in range(g.n) if rng.random() < 0.15} or {rng.randrange(g.n)}
+                for within in (None, set(), {v for v in range(g.n) if rng.random() < 0.7}):
+                    mask = -1 if within is None else vertex_mask(within)
+                    expected = set_bfs_distances(g, sources, within)
+                    for depth in (None, 0, 1, 2):
+                        cut = {v: d for v, d in expected.items() if depth is None or d <= depth}
+                        levels = bfs_levels(adj, vertex_mask(sources), mask, depth)
+                        assert all(levels)
+                        assert [set(mask_vertices(level)) for level in levels] == [
+                            {v for v, d in cut.items() if d == i} for i in range(len(levels))
+                        ]
+                        assert bfs_distances(adj, vertex_mask(sources), mask, depth) == cut
+
+    def test_components_match_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(4)
+        for seed in range(30):
+            g = random_graph(rng.randint(0, 30), rng.choice([0.03, 0.08, 0.15]), seed)
+            full = set(range(g.n))
+            for scope in (full, {v for v in full if rng.random() < 0.6}):
+                nxg = nx.Graph(e for e in g.edges() if e[0] in scope and e[1] in scope)
+                nxg.add_nodes_from(scope)
+                expected = sorted((sorted(c) for c in nx.connected_components(nxg)), key=min)
+                assert [sorted(c) for c in components_of_subset(g, scope)] == expected
+                if scope is full:
+                    assert components(g) == expected
+class TestInducedPath:
+    def test_paths_and_chords(self):
+        g = cycle_graph(5)
+        assert is_induced_path(g, [])
+        assert is_induced_path(g, [2])
+        assert is_induced_path(g, [0, 1, 2, 3])
+        assert not is_induced_path(g, [0, 1, 2, 3, 4])  # chord 4-0
+        assert not is_induced_path(g, [0, 2])  # not adjacent
+        assert not is_induced_path(g, [0, 1, 0])  # repeated vertex
+
+    def test_out_of_range_vertices_are_no_path(self):
+        g = cycle_graph(5)
+        assert not is_induced_path(g, [-1, 0])
+        assert not is_induced_path(g, [7, 0])
+        assert not is_induced_path(g, [5])
+
+    def test_matches_pairwise_definition(self):
+        rng = random.Random(12)
+        for seed in range(40):
+            g = random_graph(9, 0.35, seed)
+            seq = rng.sample(range(g.n), rng.randint(1, 6))
+            expected = all(
+                g.has_edge(a, b) == (j == i + 1)
+                for i, a in enumerate(seq)
+                for j, b in enumerate(seq)
+                if i < j
+            )
+            assert is_induced_path(g, seq) == expected
 
 
 class TestInducedSubgraph:

@@ -31,6 +31,7 @@ from naive_oracles import (
     pairwise_is_induced_cycle,
     planted_odd_hole,
     random_graph,
+    set_bfs_distances,
     set_induced_cycle_search,
     sweep_two_core,
 )
@@ -235,7 +236,7 @@ class TestBitmaskEngine:
     def test_same_sequence_as_set_based_search(self):
         import random
 
-        from oddholes.graph import bfs_distances, vertex_mask
+        from oddholes.graph import vertex_mask
         from oddholes.holes import induced_cycle_search
 
         hits = 0
@@ -244,7 +245,7 @@ class TestBitmaskEngine:
             rng = random.Random(seed)
             pool = {v for v in range(g.n) if rng.random() < 0.8}
             for path0, floor in self._starts(g, rng):
-                pool_dist = bfs_distances(g, [path0[0]], within=pool | set(path0))
+                pool_dist = set_bfs_distances(g, [path0[0]], within=pool | set(path0))
                 for kwargs in (
                     {},
                     {"max_len": 6},

@@ -1,6 +1,7 @@
 """Module layering: every import sits at module level, the package's
-imports of its own modules form a directed acyclic graph, and no module
-imports another's private (underscore-prefixed) names."""
+imports of its own modules form a directed acyclic graph, no module
+imports another's private (underscore-prefixed) names, and only the graph
+core imports a queue."""
 
 import ast
 from pathlib import Path
@@ -69,3 +70,19 @@ def test_no_private_names_across_modules():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_only_the_graph_core_imports_deque():
+    # Distances, layers, spheres and components go through graph.bfs_levels;
+    # a queue anywhere else is a breadth-first search written again.
+    users = {
+        name
+        for name, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and node.module == "collections"
+        and any(alias.name == "deque" for alias in node.names)
+        or isinstance(node, ast.Import)
+        and any(alias.name == "collections" for alias in node.names)
+    }
+    assert users == {"graph"}

@@ -180,6 +180,19 @@ class TestLollipopAndCleanliness:
         bad = Lollipop(frozenset({10, 11}), tuple(range(9)))  # tip 8 not adjacent
         assert "tip" in validate_lollipop(g, bad)
 
+    def test_out_of_range_vertices_are_reported(self):
+        g = cycle_graph(5)
+        for lp in (
+            Lollipop(frozenset({0, 1}), (9, 3)),
+            Lollipop(frozenset({0, 1}), (-1, 3)),
+            Lollipop(frozenset({0, 5}), (3, 2)),
+        ):
+            assert "out of range" in validate_lollipop(g, lp)
+            with pytest.raises(GraphError, match="out of range"):
+                cleanliness(g, lp)
+            with pytest.raises(GraphError, match="out of range"):
+                find_licking(g, lp, 1, 1)
+
     def test_cleanliness_path_examples(self):
         g = path_graph(12)
         assert cleanliness(g, Lollipop(frozenset({10, 11}), tuple(range(10)))) == 8

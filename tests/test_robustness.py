@@ -26,10 +26,9 @@ from oddholes import (
     weak_stabilize,
     witness_violates,
 )
-from oddholes.graph import bfs_distances
 from oddholes.levelling import STABLE, WEAK_STABLE, Levelling
 
-from naive_oracles import naive_induced_cycles, random_graph
+from naive_oracles import naive_induced_cycles, random_graph, set_bfs_distances
 
 
 def test_weak_stabilize_never_returns_garbage_on_arbitrary_graphs():
@@ -82,7 +81,7 @@ def _random_lollipop(g, rng):
     if not comps:
         return None
     core = comps[rng.randrange(len(comps))]
-    dist = bfs_distances(g, core)
+    dist = set_bfs_distances(g, core)
     far = sorted(v for v, d in dist.items() if d >= 2 and v not in core)
     if not far:
         return None
