@@ -89,7 +89,6 @@ from .levelling import (
     type_closures,
     validate_levelling,
     validate_lollipop,
-    validate_spine,
     weak_stabilize,
 )
 from .util import Deadline, DeadlineExceeded

@@ -38,7 +38,7 @@ def _load_graph(path: str) -> Graph:
 
 
 def _class_spec(args: argparse.Namespace) -> ClassSpec:
-    return ClassSpec(args.family, args.ell, getattr(args, "seven_hole_free", False))
+    return ClassSpec(args.family, args.ell, args.seven_hole_free)
 
 
 def _coloring_payload(coloring) -> dict:
@@ -181,6 +181,16 @@ def _add_class_flags(parser: argparse.ArgumentParser, required: bool) -> None:
     )
 
 
+def _check_class_flags(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Where --class is optional, a class is given whole or not at all."""
+    if args.family is not None and args.ell is None:
+        parser.error("--class requires --ell")
+    if args.family is None and args.ell is not None:
+        parser.error("--ell requires --class")
+    if args.family is None and args.seven_hole_free:
+        parser.error("--seven-hole-free requires --class")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oddholes",
@@ -232,6 +242,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if hasattr(args, "family"):
+            _check_class_flags(parser, args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -25,9 +25,6 @@ class Coloring:
     def colors_used(self) -> int:
         return len(set(self.assignment.values()))
 
-    def color_of(self, v: int) -> int:
-        return self.assignment[v]
-
 
 def is_proper(g: Graph, coloring: Coloring) -> bool:
     """Independent re-check: every vertex colored, no monochromatic edge."""

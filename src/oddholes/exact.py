@@ -7,7 +7,7 @@ breaking (a new color may only be the next unused one), neighbor colors
 kept as int bitmasks, one integer priority key per vertex, and an explicit
 stack of frames, so long inputs hit no recursion limit.  Instances above
 the vertex cap get an explicit error, never a silent heuristic; the cap
-can be overridden with the ODDHOLES_EXACT_CAP environment variable.
+is set only by the ODDHOLES_EXACT_CAP environment variable.
 """
 
 from __future__ import annotations
@@ -34,14 +34,10 @@ class ChromaResult:
     coloring: Coloring
 
 
-def _vertex_cap(cap: int | None) -> int:
-    if cap is not None:
-        return cap
+def _vertex_cap() -> int:
     env = os.environ.get(_CAP_ENV)
-    if not env:
-        return DEFAULT_VERTEX_CAP
     try:
-        return int(env)
+        return int(env) if env else DEFAULT_VERTEX_CAP
     except ValueError:
         raise GraphError(f"{_CAP_ENV} must be an integer, got {env!r}") from None
 
@@ -79,15 +75,13 @@ def _greedy_clique_lower_bound(g: Graph) -> int:
     return best
 
 
-def chromatic_number(
-    g: Graph, cap: int | None = None, deadline: Deadline | None = None
-) -> ChromaResult:
+def chromatic_number(g: Graph, deadline: Deadline | None = None) -> ChromaResult:
     """Exact chromatic number with an optimal coloring.
 
     Deterministic: the search order is fixed by saturation, degree, and
     vertex identifier.
     """
-    limit = _vertex_cap(cap)
+    limit = _vertex_cap()
     if g.n > limit:
         raise OracleCapExceeded(
             f"instance too large for exact oracle (n={g.n}, cap={limit})"
@@ -105,12 +99,7 @@ def chromatic_number(
     return ChromaResult(upper.colors_used, upper)
 
 
-def chi_of_subset(
-    g: Graph,
-    vertices: Iterable[int],
-    cap: int | None = None,
-    deadline: Deadline | None = None,
-) -> int:
+def chi_of_subset(g: Graph, vertices: Iterable[int], deadline: Deadline | None = None) -> int:
     """Exact chromatic number of the subgraph induced on ``vertices``."""
     sub, _, _ = induced_subgraph(g, vertices)
-    return chromatic_number(sub, cap, deadline).chi
+    return chromatic_number(sub, deadline).chi

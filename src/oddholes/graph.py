@@ -73,9 +73,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._adj[u]
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as sorted (u, v) pairs with u < v."""
         return [(u, v) for u in range(self.n) for v in sorted(self._adj[u]) if u < v]

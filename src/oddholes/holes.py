@@ -353,15 +353,10 @@ def enumerate_induced_cycles(
 
 
 def induced_cycles_of_length(
-    g: Graph,
-    length: int,
-    *,
-    first_anchor_only: bool = False,
-    deadline: Deadline | None = None,
+    g: Graph, length: int, *, deadline: Deadline | None = None
 ) -> list[tuple[int, ...]]:
-    """All induced cycles of exactly this length (or just the ones through
-    the smallest anchor that has any, which contain the canonical minimum)."""
-    return _cycles_of_length(g, _anchor_pools(g, range(g.n)), length, first_anchor_only, deadline)
+    """All induced cycles of exactly this length, sorted."""
+    return _cycles_of_length(g, _anchor_pools(g, range(g.n)), length, False, deadline)
 
 
 def _cycles_of_length(
@@ -371,6 +366,8 @@ def _cycles_of_length(
     first_anchor_only: bool,
     deadline: Deadline | None,
 ) -> list[tuple[int, ...]]:
+    """Sorted induced cycles of this length; ``first_anchor_only`` keeps those
+    through the least anchor that has any, the canonical minimum among them."""
     out: list[tuple[int, ...]] = []
     for s, pool in pools:
         hits = _cycles_through(g, s, pool, length, deadline)
@@ -619,6 +616,8 @@ def hole_attachment_profile(
     g: Graph, hole: HoleWitness | Iterable[int], u: int
 ) -> AttachmentProfile:
     cycle = tuple(hole.cycle) if isinstance(hole, HoleWitness) else tuple(hole)
+    if not 0 <= u < g.n:
+        raise GraphError(f"vertex {u} out of range for n={g.n}")
     if u in cycle:
         raise GraphError(f"vertex {u} lies on the hole")
     positions = [i for i, x in enumerate(cycle) if g.has_edge(u, x)]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Collection, Iterable
 
 from .exact import OracleCapExceeded, chi_of_subset
 from .coloring import dsatur
@@ -62,10 +62,9 @@ class InexactChiWarning(UserWarning):
 
 @dataclass(frozen=True)
 class Levelling:
-    """Ordered disjoint vertex sets over a host graph."""
+    """Ordered disjoint vertex sets; functions take the host graph separately."""
 
     levels: tuple[frozenset[int], ...]
-    graph: Graph
 
     @property
     def k(self) -> int:
@@ -89,7 +88,7 @@ def bfs_layers(g: Graph, root: int) -> Levelling:
     if not 0 <= root < g.n:
         raise GraphError(f"root {root} out of range for n={g.n}")
     layers = bfs_levels(g.neighbor_masks(), 1 << root)
-    return Levelling(tuple(frozenset(mask_vertices(layer)) for layer in layers), g)
+    return Levelling(tuple(frozenset(mask_vertices(layer)) for layer in layers))
 
 
 def validate_levelling(g: Graph, levels: Iterable[Iterable[int]]) -> str | None:
@@ -121,8 +120,15 @@ def _independent(g: Graph, level: frozenset[int] | set[int]) -> bool:
     return all(not (g.neighbors(v) & level) for v in level)
 
 
+def _require_in_range(g: Graph, vertices: Collection[int]) -> None:
+    if vertices and not 0 <= min(vertices) <= max(vertices) < g.n:
+        outside = sorted(v for v in vertices if not 0 <= v < g.n)
+        raise GraphError(f"levelling vertices {outside} out of range for n={g.n}")
+
+
 def stability_kind(g: Graph, lv: Levelling) -> str:
     """Strongest of stable > weak-stable > plain that applies."""
+    _require_in_range(g, lv.union())
     k = lv.k
     if all(_independent(g, lv.levels[i]) for i in range(k)):
         return STABLE
@@ -141,10 +147,6 @@ class SpineLevelling:
 
     base: Levelling
     spine: tuple[int, ...]
-
-
-def _parents(g: Graph, levels: list[set[int]], v: int, i: int) -> frozenset[int]:
-    return g.neighbors(v) & levels[i - 1] if i >= 1 else frozenset()
 
 
 def _has_dependent(g: Graph, levels: list[set[int]], v: int, i: int) -> bool:
@@ -201,7 +203,7 @@ def _prune_and_pick_spine(g: Graph, levels: list[set[int]]) -> SpineLevelling:
     """Prune ``levels`` in place to dependent-having vertices and pick a spine."""
     _prune_dependent_free(g, levels)
     spine = _choose_spine(g, levels)
-    base = Levelling(tuple(frozenset(level) for level in levels), g)
+    base = Levelling(tuple(frozenset(level) for level in levels))
     return SpineLevelling(base, tuple(spine))
 
 
@@ -221,7 +223,11 @@ def prune_to_dependent_spine(g: Graph, lv: Levelling) -> SpineLevelling:
     return _prune_and_pick_spine(g, [set(level) for level in lv.levels])
 
 
-def validate_spine(g: Graph, sp: SpineLevelling) -> str | None:
+# ---------------------------------------------------------------------------
+# type split around the spine
+
+
+def _spine_violation(g: Graph, sp: SpineLevelling) -> str | None:
     levels = [set(level) for level in sp.base.levels]
     spine = sp.spine
     if len(spine) != len(levels):
@@ -230,7 +236,7 @@ def validate_spine(g: Graph, sp: SpineLevelling) -> str | None:
         if v not in levels[i]:
             return f"spine vertex {v} not in level {i}"
         if i >= 1:
-            parents = _parents(g, levels, v, i)
+            parents = g.neighbors(v) & levels[i - 1]
             if parents != {spine[i - 1]}:
                 return (
                     f"spine vertex {v} has parents {sorted(parents)}, "
@@ -243,10 +249,6 @@ def validate_spine(g: Graph, sp: SpineLevelling) -> str | None:
     return None
 
 
-# ---------------------------------------------------------------------------
-# type split around the spine
-
-
 def classify_types(g: Graph, sp: SpineLevelling) -> dict[int, int]:
     """Split spine neighbors by which spine vertex they touch.
 
@@ -255,7 +257,7 @@ def classify_types(g: Graph, sp: SpineLevelling) -> dict[int, int]:
     its own level.  Touching both (a triangle) or any other spine vertex
     breaks the dependent-spine assumptions and raises.
     """
-    err = validate_spine(g, sp)
+    err = _spine_violation(g, sp)
     if err:
         raise GraphError(f"spine assumption violated: {err}")
     spine = sp.spine
@@ -327,10 +329,6 @@ class Lollipop:
 
     core: frozenset[int]
     stick: tuple[int, ...]
-
-    @property
-    def end(self) -> int:
-        return self.stick[0]
 
 
 def validate_lollipop(g: Graph, lp: Lollipop) -> str | None:
@@ -506,10 +504,11 @@ def _check_licking(
 # ceiling and floor paths
 
 
-def _level_pair(lv: Levelling, u: int, v: int) -> int:
+def _level_pair(g: Graph, lv: Levelling, u: int, v: int) -> int:
     if u == v:
         raise GraphError("endpoints must be distinct")
     level_of = lv.level_of()
+    _require_in_range(g, level_of)
     if u not in level_of or v not in level_of:
         raise GraphError("endpoints must belong to the levelling")
     if level_of[u] != level_of[v]:
@@ -567,7 +566,7 @@ def ceiling_path(
     The parity flag restricts the edge count; 'any' returns the shortest.
     Returns None when no such path exists.
     """
-    i = _level_pair(lv, u, v)
+    i = _level_pair(g, lv, u, v)
     if i < 1:
         raise GraphError("ceiling paths need endpoints at level 1 or deeper")
     pool: set[int] = set()
@@ -585,7 +584,7 @@ def floor_path(
     deadline: Deadline | None = None,
 ) -> tuple[int, ...] | None:
     """Shortest induced u-v path with interior strictly below their level."""
-    i = _level_pair(lv, u, v)
+    i = _level_pair(g, lv, u, v)
     pool: set[int] = set()
     for level in lv.levels[i + 1:]:
         pool |= level
@@ -630,7 +629,7 @@ def weak_stabilize(
     k = lv.k
     chi_last = chi_set(lv.levels[k])
     if chi_last <= 2 * ell - 2:
-        return Levelling((lv.levels[0], lv.levels[1]), g)
+        return Levelling((lv.levels[0], lv.levels[1]))
     if k < 2:
         # chi of the root's neighborhood is 1 in any triangle-free graph.
         _blame_preconditions(g, ell, deadline)
@@ -694,7 +693,7 @@ def weak_stabilize(
             + [{spine[i + 1]} | covers[i] for i in range(1, k)]
             + [set(covers[k])]
         )
-    result = Levelling(tuple(frozenset(level) for level in new_levels), g)
+    result = Levelling(tuple(frozenset(level) for level in new_levels))
 
     err = validate_levelling(g, result.levels)
     if err or stability_kind(g, result) == PLAIN:

@@ -169,9 +169,21 @@ def _stable_bfs_levellings(g: Graph, ctx: dict) -> list[Levelling]:
     return ctx["stable_levellings"]
 
 
-def _sphere_within(g: Graph, scope: frozenset[int], z: int, radius: int) -> set[int]:
-    levels = bfs_levels(g.neighbor_masks(), 1 << z, vertex_mask(scope), radius)
-    return set(mask_vertices(levels[radius])) if len(levels) > radius else set()
+def _spheres(g: Graph, ctx: dict, radius: int) -> list[tuple[Levelling, int, set[int]]]:
+    """(levelling, z, sphere) for each z, ascending, of the last level of
+    each stable BFS levelling: the vertices at distance exactly ``radius``
+    from z inside that last level."""
+    key = f"spheres{radius}"
+    if key not in ctx:
+        adj = g.neighbor_masks()
+        ctx[key] = spheres = []
+        for lv in _stable_bfs_levellings(g, ctx):
+            scope = vertex_mask(lv.levels[-1])
+            for z in sorted(lv.levels[-1]):
+                # Level ``radius`` of the walk, or nothing when it stops short.
+                sphere = sum(bfs_levels(adj, 1 << z, scope, radius)[radius:])
+                spheres.append((lv, z, set(mask_vertices(sphere))))
+    return ctx[key]
 
 
 def _small_holes(g: Graph, ctx: dict, length: int) -> list[tuple[int, ...]]:
@@ -183,6 +195,8 @@ def _small_holes(g: Graph, ctx: dict, length: int) -> list[tuple[int, ...]]:
 
 # ---------------------------------------------------------------------------
 # properties (each returns status, detail, witness)
+
+_NO_STABLE_LEVELLING = (SKIP, "no stable BFS levelling found from any root", None)
 
 
 def _prop_bipartite_iff_no_5_or_7_hole(g, cspec, ctx, deadline):
@@ -219,74 +233,60 @@ def _prop_attachment_profiles(g, cspec, ctx, deadline):
 
 
 def _prop_second_sphere_bipartite(g, cspec, ctx, deadline):
-    levellings = _stable_bfs_levellings(g, ctx)
-    if not levellings:
-        return SKIP, "no stable BFS levelling found from any root", None
-    checked = 0
-    for lv in levellings:
-        last = lv.levels[-1]
-        for z in sorted(last):
-            sphere = _sphere_within(g, last, z, 2)
-            checked += 1
-            if not is_bipartite_subset(g, sphere):
-                return FAIL, "second sphere inside the last level is not bipartite", {
-                    "root": min(lv.levels[0]),
-                    "z": z,
-                    "sphere": sorted(sphere),
-                }
-    return PASS, f"{checked} spheres checked", None
+    spheres = _spheres(g, ctx, 2)
+    if not spheres:
+        return _NO_STABLE_LEVELLING
+    for lv, z, sphere in spheres:
+        if not is_bipartite_subset(g, sphere):
+            return FAIL, "second sphere inside the last level is not bipartite", {
+                "root": min(lv.levels[0]),
+                "z": z,
+                "sphere": sorted(sphere),
+            }
+    return PASS, f"{len(spheres)} spheres checked", None
 
 
 def _prop_filtered_third_sphere_bipartite(g, cspec, ctx, deadline):
-    levellings = _stable_bfs_levellings(g, ctx)
-    if not levellings:
-        return SKIP, "no stable BFS levelling found from any root", None
+    spheres = _spheres(g, ctx, 3)
+    if not spheres:
+        return _NO_STABLE_LEVELLING
     checked = 0
-    for lv in levellings:
+    for lv, z, sphere in spheres:
         if lv.k < 1:
             continue
-        last = lv.levels[-1]
         upper = lv.levels[-2]
-        for z in sorted(last):
-            z_adj = g.neighbors(z)
-            filtered = {
-                v
-                for v in _sphere_within(g, last, z, 3)
-                if g.neighbors(v) & upper <= z_adj
-            }
-            checked += 1
-            if not is_bipartite_subset(g, filtered):
-                return FAIL, (
-                    "third-sphere vertices whose upper parents all touch z "
-                    "do not induce a bipartite graph"
-                ), {"root": min(lv.levels[0]), "z": z, "subset": sorted(filtered)}
+        z_adj = g.neighbors(z)
+        filtered = {v for v in sphere if g.neighbors(v) & upper <= z_adj}
+        checked += 1
+        if not is_bipartite_subset(g, filtered):
+            return FAIL, (
+                "third-sphere vertices whose upper parents all touch z "
+                "do not induce a bipartite graph"
+            ), {"root": min(lv.levels[0]), "z": z, "subset": sorted(filtered)}
     return PASS, f"{checked} filtered spheres checked", None
 
 
 def _prop_third_sphere_chi_le(g, cspec, ctx, deadline, bound):
-    levellings = _stable_bfs_levellings(g, ctx)
-    if not levellings:
-        return SKIP, "no stable BFS levelling found from any root", None
+    spheres = _spheres(g, ctx, 3)
+    if not spheres:
+        return _NO_STABLE_LEVELLING
     worst = 0
-    for lv in levellings:
-        last = lv.levels[-1]
-        for z in sorted(last):
-            sphere = _sphere_within(g, last, z, 3)
-            value = chi_of_subset(g, sphere, deadline=deadline)
-            worst = max(worst, value)
-            if value > bound:
-                return FAIL, f"third sphere has chromatic number {value} > {bound}", {
-                    "root": min(lv.levels[0]),
-                    "z": z,
-                    "sphere": sorted(sphere),
-                }
+    for lv, z, sphere in spheres:
+        value = chi_of_subset(g, sphere, deadline=deadline)
+        worst = max(worst, value)
+        if value > bound:
+            return FAIL, f"third sphere has chromatic number {value} > {bound}", {
+                "root": min(lv.levels[0]),
+                "z": z,
+                "sphere": sorted(sphere),
+            }
     return PASS, f"max third-sphere chromatic number {worst}", None
 
 
 def _prop_last_level_chi_le(g, cspec, ctx, deadline, bound):
     levellings = _stable_bfs_levellings(g, ctx)
     if not levellings:
-        return SKIP, "no stable BFS levelling found from any root", None
+        return _NO_STABLE_LEVELLING
     worst = 0
     for lv in levellings:
         value = chi_of_subset(g, lv.levels[-1], deadline=deadline)

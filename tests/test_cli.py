@@ -219,6 +219,20 @@ class TestUsageErrors:
         path.write_text("A!\n")
         assert main(["chroma", str(path)]) == 2
 
+    @pytest.mark.parametrize("command, flags, message", [
+        ("color", ["--class", "A"], "--class requires --ell"),
+        ("color", ["--ell", "3"], "--ell requires --class"),
+        ("color", ["--seven-hole-free"], "--seven-hole-free requires --class"),
+        ("verify", ["--class", "G"], "--class requires --ell"),
+        ("verify", ["--ell", "2"], "--ell requires --class"),
+        ("verify", ["--seven-hole-free"], "--seven-hole-free requires --class"),
+    ])
+    def test_half_given_class(self, corpus_dir, capsys, command, flags, message):
+        target = corpus_dir / "c7.g6" if command == "color" else corpus_dir
+        assert main([command, str(target), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.endswith(f"error: {message}\n")
+
     def test_malformed_exact_cap(self, corpus_dir, capsys, monkeypatch):
         monkeypatch.setenv("ODDHOLES_EXACT_CAP", "abc")
         assert main(["chroma", str(corpus_dir / "petersen.g6")]) == 2

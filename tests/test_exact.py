@@ -129,13 +129,15 @@ class TestChromaticNumber:
         for a, b in [(1, 1), (3, 4)]:
             assert chromatic_number(complete_bipartite(a, b)).chi == 2
 
-    def test_cap_is_enforced(self):
+    def test_cap_is_enforced(self, monkeypatch):
         with pytest.raises(OracleCapExceeded, match="too large"):
             chromatic_number(Graph(70))
-        assert chromatic_number(Graph(70), cap=128).chi == 1
+        monkeypatch.setenv("ODDHOLES_EXACT_CAP", "128")
+        assert chromatic_number(Graph(70)).chi == 1
 
-    def test_long_odd_cycle_above_default_cap(self):
-        result = chromatic_number(cycle_graph(1201), cap=5000)
+    def test_long_odd_cycle_above_default_cap(self, monkeypatch):
+        monkeypatch.setenv("ODDHOLES_EXACT_CAP", "5000")
+        result = chromatic_number(cycle_graph(1201))
         assert result.chi == 3 and is_proper(cycle_graph(1201), result.coloring)
 
     def test_cap_env_override(self, monkeypatch):

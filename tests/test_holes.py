@@ -597,3 +597,9 @@ class TestAttachmentProfiles:
         h = Graph(6, [(i, (i + 1) % 5) for i in range(5)])
         with pytest.raises(GraphError, match="no neighbor"):
             hole_attachment_profile(h, tuple(range(5)), 5)
+
+    @pytest.mark.parametrize("u", [-1, 7, 9])
+    def test_vertex_outside_the_graph(self, u):
+        # -1 would otherwise read as vertex 6, a neighbour of 0 and 5.
+        with pytest.raises(GraphError, match=f"vertex {u} out of range for n=7"):
+            hole_attachment_profile(cycle_graph(7), tuple(range(5)), u)

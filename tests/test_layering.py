@@ -1,12 +1,14 @@
 """Module layering: every import sits at module level, the package's
 imports of its own modules form a directed acyclic graph, no module
-imports another's private (underscore-prefixed) names, and only the graph
-core imports a queue."""
+imports another's private (underscore-prefixed) names, only the graph
+core imports a queue, and every public member of a class has a reader."""
 
 import ast
+import re
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "oddholes"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "oddholes"
 
 
 def _trees():
@@ -86,3 +88,46 @@ def test_only_the_graph_core_imports_deque():
         and any(alias.name == "collections" for alias in node.names)
     }
     assert users == {"graph"}
+
+
+def _attributes_read() -> set[str]:
+    """Every ``.name`` read in the sources, tests, bench and docs."""
+    names: set[str] = set()
+    for folder in ("src", "tests", "bench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            names.update(
+                node.attr
+                for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            )
+    docs = [ROOT / "README.md", *(ROOT / "docs").rglob("*.md"), *(ROOT / "bench").rglob("*.md")]
+    for path in docs:
+        names.update(re.findall(r"\.(\w+)", path.read_text()))
+    return names
+
+
+def _public_members(cls: ast.ClassDef):
+    """The names of a class's public methods and annotated fields."""
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            name = node.name
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            name = node.target.id
+        else:
+            continue
+        if not name.startswith("_"):
+            yield name
+
+
+def test_every_public_class_member_is_read():
+    # A method or field nothing reads is surface kept working for no caller.
+    read = _attributes_read()
+    unread = [
+        f"{cls.name}.{name}"
+        for tree in _trees().values()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for name in _public_members(cls)
+        if name not in read
+    ]
+    assert unread == []

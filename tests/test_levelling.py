@@ -88,7 +88,7 @@ class TestStabilityKind:
 
     def test_plain(self):
         g = Graph(5, [(0, 1), (0, 2), (1, 2), (1, 3), (3, 4)])
-        lv = Levelling((frozenset({0}), frozenset({1, 2}), frozenset({3}), frozenset({4})), g)
+        lv = Levelling((frozenset({0}), frozenset({1, 2}), frozenset({3}), frozenset({4})))
         assert validate_levelling(g, lv.levels) is None
         assert stability_kind(g, lv) == PLAIN
 
@@ -166,7 +166,7 @@ class TestTypesAndClosures:
 
     def test_triangle_on_spine(self):
         g = Graph(3, [(0, 1), (1, 2), (0, 2)])
-        base = Levelling((frozenset({0}), frozenset({1, 2})), g)
+        base = Levelling((frozenset({0}), frozenset({1, 2})))
         with pytest.raises(GraphError, match="adjacent to both"):
             classify_types(g, SpineLevelling(base, (0, 1)))
 
@@ -277,6 +277,23 @@ class TestCeilingFloorPaths:
         g = cycle_graph(6)
         with pytest.raises(GraphError, match="different levels"):
             ceiling_path(g, bfs_layers(g, 0), 1, 2)
+
+    def test_levelling_of_a_larger_graph_rejected(self):
+        lv = bfs_layers(cycle_graph(9), 0)
+        outside = r"levelling vertices \[7, 8\] out of range for n=7"
+        for fn in (floor_path, ceiling_path):
+            with pytest.raises(GraphError, match=outside):
+                fn(cycle_graph(7), lv, 1, 8)
+        with pytest.raises(GraphError, match=outside):
+            stability_kind(cycle_graph(7), lv)
+
+    def test_negative_levelling_vertex_rejected(self):
+        lv = Levelling((frozenset({0}), frozenset({1, -1})))
+        outside = r"levelling vertices \[-1\] out of range for n=7"
+        with pytest.raises(GraphError, match=outside):
+            floor_path(cycle_graph(7), lv, 1, -1)
+        with pytest.raises(GraphError, match=outside):
+            stability_kind(cycle_graph(7), lv)
 
     def test_adjacent_endpoints_yield_the_edge(self):
         g = cycle_graph(7)

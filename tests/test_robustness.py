@@ -62,7 +62,7 @@ def test_weak_stabilize_handles_truncated_levellings():
         full = bfs_layers(g, min(comp))
         if full.k < 1:
             continue
-        lv = Levelling(full.levels[: rng.randint(1, full.k) + 1], g)
+        lv = Levelling(full.levels[: rng.randint(1, full.k) + 1])
         assert validate_levelling(g, lv.levels) is None
         try:
             out = weak_stabilize(g, lv, 2)

@@ -3,6 +3,7 @@ import pytest
 from oddholes import (
     ClassSpec,
     GenSpec,
+    Graph,
     InexactChiWarning,
     cycle_graph,
     generate_member,
@@ -13,6 +14,10 @@ from oddholes.verify import (
     CorpusReport,
     GraphRecord,
     PropertyRecord,
+    _prop_filtered_third_sphere_bipartite,
+    _prop_last_level_chi_le,
+    _prop_second_sphere_bipartite,
+    _prop_third_sphere_chi_le,
     specs_for_filename,
     verify_corpus,
     verify_graph,
@@ -141,3 +146,54 @@ class TestReportShape:
         ]
         assert [r.filename for r in report.records] == ["G2_7_0.g6"]
         assert report.summary()["unreadable_files"] == 1
+
+
+class TestG2LemmaFailures:
+    """The FAIL branch of each G2 lemma property, on one small graph.
+
+    Root 0 has the single neighbour 1, whose other neighbours 2..9 form the
+    last level of the stable levelling from 0: a path 2-3-4 whose end 4 sees
+    every vertex of the 5-cycle 5..9.  So the 5-cycle is the second sphere
+    of 3 and the third sphere of 2 inside the last level, and the last
+    level (a 5-wheel plus a path) has chromatic number 4.
+    """
+
+    @staticmethod
+    def _graph():
+        edges = [(0, 1), (2, 3), (3, 4)]
+        edges += [(1, v) for v in range(2, 10)]
+        edges += [(4, c) for c in range(5, 10)]
+        edges += [(c, 5 + (c - 4) % 5) for c in range(5, 10)]
+        return Graph(10, edges)
+
+    def _run(self, prop, **kwargs):
+        return prop(self._graph(), ClassSpec("G", 2), {}, None, **kwargs)
+
+    def test_second_sphere_bipartite(self):
+        assert self._run(_prop_second_sphere_bipartite) == (
+            "fail",
+            "second sphere inside the last level is not bipartite",
+            {"root": 0, "z": 3, "sphere": [5, 6, 7, 8, 9]},
+        )
+
+    def test_filtered_third_sphere_bipartite(self):
+        assert self._run(_prop_filtered_third_sphere_bipartite) == (
+            "fail",
+            "third-sphere vertices whose upper parents all touch z "
+            "do not induce a bipartite graph",
+            {"root": 0, "z": 2, "subset": [5, 6, 7, 8, 9]},
+        )
+
+    def test_third_sphere_chi(self):
+        assert self._run(_prop_third_sphere_chi_le, bound=1) == (
+            "fail",
+            "third sphere has chromatic number 3 > 1",
+            {"root": 0, "z": 2, "sphere": [5, 6, 7, 8, 9]},
+        )
+
+    def test_last_level_chi(self):
+        assert self._run(_prop_last_level_chi_le, bound=1) == (
+            "fail",
+            "last level has chromatic number 4 > 1",
+            {"root": 0, "last_level": [2, 3, 4, 5, 6, 7, 8, 9]},
+        )
