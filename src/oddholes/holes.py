@@ -17,11 +17,13 @@ search (exponential worst case, accepted at desk scale) and always return
 a re-checkable witness on failure.
 
 Every search that looks for cycles by their least vertex s (girth, the
-fixed-length hole clauses, the long-odd-hole scan) runs inside s's anchor
-pool: the 2-core of the vertices >= s.  A cycle whose least vertex is s
-lies in that pool, so the pools change no answer; they only drop the
+listing, the fixed-length clauses, the long-odd-hole scan) runs inside s's
+anchor pool: the 2-core of the vertices >= s.  A cycle whose least vertex
+is s lies in that pool, so the pools change no answer; they only drop the
 pendant trees and the anchors that lie on no cycle above themselves.
 ``class_membership`` builds the pools once and every clause shares them.
+An exact-length search prunes by distance to the anchor, every other one
+by a free route back to the anchor that fits its length bound, if any.
 """
 
 from __future__ import annotations
@@ -209,16 +211,17 @@ def _girth_anchor(
 # induced path closed by the pair of its ends is an induced cycle through
 # a non-edge.
 #
-# A search with neither ``exact`` nor ``max_len`` has no length to prune
-# by, so it prunes by reachability instead (Uno & Satoh, *An efficient
-# algorithm for enumerating chordless cycles and chordless paths*): a tip
-# from which no free neighbor of the anchor can be reached through free
-# vertices closes no cycle, and is skipped.  Each depth keeps a shortest
-# free route from its tip to such a neighbor; a tip that is the next vertex
-# of its parent's route inherits the rest of it, which stays free (a
-# shortest path has no chord to the vertex it leaves behind), so a path
-# that follows its route costs no new flood.  Only subtrees that close
-# nothing are cut, so the order of the cycles reported is unchanged.
+# An exact-length search prunes by distance: a tip farther from the anchor
+# than the edges left cannot close.  Every other search prunes by
+# reachability (Uno & Satoh, *An efficient algorithm for enumerating
+# chordless cycles and chordless paths*): a tip with no free route to a free
+# neighbor of the anchor, or under ``max_len`` none short enough, is cut.
+# Each depth keeps a shortest such route from its tip; a tip that is the
+# next vertex of its parent's route inherits the rest of it, which stays
+# free (a shortest path has no chord to the vertex it leaves behind) and
+# fits the bound (the path gains the vertex the route loses), so a path
+# that follows its route costs no new flood.  Only subtrees that cannot
+# close within the bound are cut, so the order of the cycles is unchanged.
 
 
 def induced_cycle_search(
@@ -234,18 +237,17 @@ def induced_cycle_search(
 ) -> Iterator[tuple[int, ...]]:
     """Induced cycles extending ``path0``, in depth-first order.
 
-    ``exact`` fixes the cycle length, ``max_len`` bounds it; without either,
-    tips that cannot reach the anchor are pruned.  ``allowed`` is a vertex
-    mask the rest of the cycle must stay in.  With ``exact``, ``dist`` maps
-    vertices to their distance from the anchor (computed over the whole
-    graph when omitted) and prunes paths that cannot close in time.
+    ``exact`` fixes the cycle length and prunes by ``dist``, the distances
+    from the anchor (over the whole graph when omitted); otherwise
+    ``max_len``, if given, bounds it, and tips are pruned by their route
+    back to the anchor.  ``allowed`` is a vertex mask the rest of the cycle
+    must stay in.
     """
     anchor = path0[0]
     anchor_adj = adj[anchor]
     if exact is not None and dist is None:
         dist = bfs_distances(adj, 1 << anchor)
     canonical = len(path0) == 1
-    unbounded = exact is None and max_len is None
     path = list(path0)
     open_mask = -1 << (floor + 1)
     if allowed is not None:
@@ -263,7 +265,7 @@ def induced_cycle_search(
             todo.pop()
             blocks.pop()
             path.pop()
-            if unbounded:
+            if exact is None:
                 routes.pop()
             continue
         bit = rest & -rest
@@ -293,12 +295,13 @@ def induced_cycle_search(
         blocked = blocks[-1] | bit
         if len(path) >= 2:
             blocked |= adj[path[-1]]
-        if unbounded:
+        if exact is None:
             route, i = routes[-1]
             if i + 1 < len(route) and route[i + 1] == w:
                 routes.append((route, i + 1))
             else:
-                route = _route_to_anchor(adj, w, anchor_adj, open_mask & ~blocked)
+                depth = None if max_len is None else max_len - length
+                route = _route_to_anchor(adj, w, anchor_adj, open_mask & ~blocked, depth)
                 if route is None:
                     continue
                 routes.append((route, 0))
@@ -309,14 +312,16 @@ def induced_cycle_search(
 
 
 def _route_to_anchor(
-    adj: Sequence[int], w: int, anchor_adj: int, free: int
+    adj: Sequence[int], w: int, anchor_adj: int, free: int, depth: int | None
 ) -> tuple[int, ...] | None:
     """A shortest path from w through ``free`` to a neighbor of the anchor
-    in ``free``, or None when there is none."""
+    in ``free``, or None when none has at most ``depth`` (>= 1) edges."""
     targets = anchor_adj & free
     levels = [1 << w]
     seen = reach = adj[w] & free
     while reach and not reach & targets:
+        if len(levels) == depth:
+            return None
         levels.append(reach)
         nxt = 0
         for v in mask_vertices(reach):
@@ -344,8 +349,10 @@ def enumerate_induced_cycles(
     found = sorted(
         (
             cyc
-            for s in range(g.n)
-            for cyc in induced_cycle_search(adj, [s], floor=s, max_len=max_len, deadline=deadline)
+            for s, pool in _anchor_pools(g, range(g.n))
+            for cyc in induced_cycle_search(
+                adj, [s], floor=s, max_len=max_len, allowed=pool, deadline=deadline
+            )
         ),
         key=lambda c: (len(c), c),
     )
@@ -356,25 +363,23 @@ def induced_cycles_of_length(
     g: Graph, length: int, *, deadline: Deadline | None = None
 ) -> list[tuple[int, ...]]:
     """All induced cycles of exactly this length, sorted."""
-    return _cycles_of_length(g, _anchor_pools(g, range(g.n)), length, False, deadline)
+    return sorted(
+        cyc
+        for s, pool in _anchor_pools(g, range(g.n))
+        for cyc in _cycles_through(g, s, pool, length, deadline)
+    )
 
 
-def _cycles_of_length(
-    g: Graph,
-    pools: list[tuple[int, int]],
-    length: int,
-    first_anchor_only: bool,
-    deadline: Deadline | None,
-) -> list[tuple[int, ...]]:
-    """Sorted induced cycles of this length; ``first_anchor_only`` keeps those
-    through the least anchor that has any, the canonical minimum among them."""
-    out: list[tuple[int, ...]] = []
+def _least_cycle(
+    g: Graph, pools: list[tuple[int, int]], length: int, deadline: Deadline | None
+) -> tuple[int, ...] | None:
+    """The canonically least induced cycle of this length, or None: the least
+    one through the first anchor that has any."""
     for s, pool in pools:
         hits = _cycles_through(g, s, pool, length, deadline)
-        out.extend(hits)
-        if hits and first_anchor_only:
-            break
-    return sorted(out)
+        if hits:
+            return min(hits)
+    return None
 
 
 def _cycles_through(
@@ -511,9 +516,7 @@ def forbidden_cycle_through_edge(
     core = _two_core(adj, within)
     if not (core >> u & 1 and core >> v & 1):
         return None
-    for cyc in induced_cycle_search(
-        adj, [u, v], floor=-1, max_len=core.bit_count(), allowed=core, deadline=deadline
-    ):
+    for cyc in induced_cycle_search(adj, [u, v], floor=-1, allowed=core, deadline=deadline):
         if cspec.forbids(len(cyc)):
             return cyc
     return None
@@ -528,41 +531,28 @@ def class_membership(
 ) -> MembershipVerdict:
     """Decide membership; on failure return the shortest violating cycle.
 
-    Ties between equally short violations break toward the lexicographically
-    smallest canonical cycle, then by clause order (girth, 5-hole, 7-hole,
-    long odd hole), so verdicts are deterministic.
+    Clauses run in length order and the first violation is returned: the
+    girth clause (a shortest cycle; a 7-hole of its length is the same
+    cycle), each banned length below ``odd_hole_min``, then the long odd
+    holes.  Each witness is the canonically least cycle of its length.
     """
-    candidates: list[tuple[tuple[int, ...], str]] = []
     pools = _anchor_pools(g, range(g.n))
     shortest = _girth_anchor(g, pools, deadline)
-    g0 = None if shortest is None else shortest[0]
-    if shortest is not None and g0 < cspec.girth_min:
-        _, s, pool = shortest
-        cyc = min(_cycles_through(g, s, pool, g0, deadline))
-        candidates.append((cyc, TRIANGLE if len(cyc) == 3 else SHORT_CYCLE))
-    if cspec.forbids_five_hole and g0 is not None and g0 <= 5:
-        hits = _cycles_of_length(g, pools, 5, True, deadline)
-        if hits:
-            candidates.append((hits[0], K_HOLE))
-    if cspec.forbids_seven_hole and g0 is not None and g0 <= 7:
-        hits = _cycles_of_length(g, pools, 7, True, deadline)
-        if hits:
-            candidates.append((hits[0], K_HOLE))
-    # A violation shorter than any possible odd hole settles the verdict.
-    if not candidates or min(len(c) for c, _ in candidates) >= cspec.odd_hole_min:
-        hole = _long_odd_hole(g, pools, cspec.odd_hole_min, deadline)
-        if hole is not None:
-            candidates.append((hole, LONG_ODD_HOLE))
-    if not candidates:
+    if shortest is None:
         return MembershipVerdict(True, None)
-    cycle, kind = min(
-        ((c, k) for c, k in candidates),
-        key=lambda ck: (len(ck[0]), ck[0], _CLAUSE_ORDER[ck[1]]),
-    )
-    return MembershipVerdict(False, HoleWitness(kind, cycle))
-
-
-_CLAUSE_ORDER = {TRIANGLE: 0, SHORT_CYCLE: 0, K_HOLE: 1, LONG_ODD_HOLE: 2}
+    g0, s, pool = shortest
+    if g0 < cspec.girth_min:
+        cyc = min(_cycles_through(g, s, pool, g0, deadline))
+        return MembershipVerdict(False, HoleWitness(TRIANGLE if g0 == 3 else SHORT_CYCLE, cyc))
+    for k in range(g0, cspec.odd_hole_min):
+        if cspec.forbids(k):
+            cyc = _least_cycle(g, pools, k, deadline)
+            if cyc is not None:
+                return MembershipVerdict(False, HoleWitness(K_HOLE, cyc))
+    hole = _long_odd_hole(g, pools, cspec.odd_hole_min, deadline)
+    if hole is None:
+        return MembershipVerdict(True, None)
+    return MembershipVerdict(False, HoleWitness(LONG_ODD_HOLE, hole))
 
 
 def is_induced_cycle(g: Graph, cycle: Iterable[int]) -> bool:

@@ -228,6 +228,7 @@ def prune_to_dependent_spine(g: Graph, lv: Levelling) -> SpineLevelling:
 
 
 def _spine_violation(g: Graph, sp: SpineLevelling) -> str | None:
+    _require_in_range(g, sp.base.union() | set(sp.spine))
     levels = [set(level) for level in sp.base.levels]
     spine = sp.spine
     if len(spine) != len(levels):
@@ -295,6 +296,7 @@ def type_closures(
     and, for every vertex with no spine neighbor, propagating membership
     from any parent.  Together with the spine they cover the levelling.
     """
+    _require_in_range(g, sp.base.union() | set(sp.spine))
     levels = sp.base.levels
     chain = set(sp.spine)
     one: set[int] = set()

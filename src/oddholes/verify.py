@@ -515,7 +515,7 @@ def verify_graph(
         return record
     try:
         record.chi = chromatic_number(g, deadline=Deadline(timeout)).chi
-    except (DeadlineExceeded, GraphError):
+    except (DeadlineExceeded, OracleCapExceeded):
         record.chi = None
     ctx: dict = {"chi": record.chi}
     for name, fn in suite:
@@ -544,6 +544,12 @@ def verify_corpus(
     ``file_errors`` and the run continues."""
     report = CorpusReport()
     root = Path(directory)
+    if not root.is_dir():
+        raise GraphError(f"{directory} is not a directory")
+    if family is None and ell is not None:
+        raise GraphError("--ell requires --class")
+    if family is None and seven_hole_free:
+        raise GraphError("--seven-hole-free requires --class")
     forced = None
     if family is not None:
         if ell is None:

@@ -167,6 +167,14 @@ class TestGenAndVerify:
         code, payload = run(capsys, "verify", str(d))
         assert code == 0 and payload["records"] == []
 
+    def test_verify_not_a_directory(self, tmp_path, capsys):
+        regular = tmp_path / "x.el"
+        regular.write_text("0 1\n")
+        for target in (tmp_path / "missing", regular):
+            assert main(["verify", str(target)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == f"error: {target} is not a directory\n"
+
     def test_verify_class_without_ell(self, tmp_path, capsys):
         d = tmp_path / "empty"
         d.mkdir()

@@ -295,8 +295,10 @@ class TestPinnedCorpora:
         assert digest.hexdigest() == self.GRID_DIGESTS[key]
 
     def test_search_checks(self):
-        # 1478 checks inside the searches through edges, plus one per attempt.
+        # 457 checks inside the searches through edges, plus one per attempt.
+        # The searches prune by the free route back to the anchor (1478
+        # checks when a length bound of the core's size kept that prune off).
         counter = CheckCounter()
         res = generate_member(GenSpec(ClassSpec("G", 2), 56, 3.5 / 56, 13), counter)
         assert res.attempts == 96
-        assert counter.checks == 1478 + 96
+        assert counter.checks == 457 + 96

@@ -156,6 +156,16 @@ class TestEnumerateInducedCycles:
         out = enumerate_induced_cycles(Graph(3, [(0, 1), (1, 2), (0, 2)]), 3)
         assert [w.kind for w in out] == ["triangle"]
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_route_prune_matches_distance_prune(self, seed):
+        # The listing prunes by a route that fits max_len, the fixed-length
+        # searches by distance; max_len cuts longer cycles off 17 of these 20.
+        n = 14 + seed
+        g = random_graph(n, 4 / n, seed)
+        max_len = 4 + seed % 7
+        expected = [c for k in range(3, max_len + 1) for c in induced_cycles_of_length(g, k)]
+        assert [w.cycle for w in enumerate_induced_cycles(g, max_len)] == expected
+
 
 class TestFindLongOddHole:
     def test_c9(self):
@@ -350,6 +360,22 @@ class TestReachabilityPruneWork:
         g = random_graph(300, 4 / 300, 4)
         assert len(find_long_odd_hole(g, 7, SearchBudget(5_000))) == 7
         assert len(find_long_odd_hole(g, 9, SearchBudget(20_000))) == 9
+
+
+class TestBoundedSearchWork:
+    """A search under max_len prunes by a free route back to the anchor that
+    fits the bound, and membership stops at its first violation."""
+
+    def test_c2001_listing(self):
+        # 3,999 checks; 2,004,999 when the bound switched the route prune off.
+        out = enumerate_induced_cycles(cycle_graph(2001), 2001, SearchBudget(4_000))
+        assert [w.cycle for w in out] == [tuple(range(2001))]
+
+    def test_girth_violation_settles_membership(self):
+        # 11 checks; 35 when the 5-hole clause ran after the triangle.
+        g = Graph(12, petersen().edges() + [(0, 10), (10, 11), (0, 11)])
+        verdict = class_membership(g, ClassSpec("B", 3), SearchBudget(11))
+        assert (verdict.witness.kind, verdict.witness.cycle) == ("triangle", (0, 10, 11))
 
 
 class TestGirthWork:

@@ -170,6 +170,16 @@ class TestTypesAndClosures:
         with pytest.raises(GraphError, match="adjacent to both"):
             classify_types(g, SpineLevelling(base, (0, 1)))
 
+    @pytest.mark.parametrize("outside", [9, -1])
+    def test_out_of_range_spine_rejected(self, outside):
+        g = cycle_graph(7)
+        sp = SpineLevelling(Levelling((frozenset({0}), frozenset({outside}))), (0, outside))
+        message = rf"levelling vertices \[{outside}\] out of range for n=7"
+        with pytest.raises(GraphError, match=message):
+            classify_types(g, sp)
+        with pytest.raises(GraphError, match=message):
+            type_closures(g, sp, {})
+
 
 class TestLollipopAndCleanliness:
     def test_validate_catches_bad_sticks(self):

@@ -4,6 +4,7 @@ from oddholes import (
     ClassSpec,
     GenSpec,
     Graph,
+    GraphError,
     InexactChiWarning,
     cycle_graph,
     generate_member,
@@ -100,6 +101,12 @@ class TestOverExactCap:
             "chi_le_12ell_plus_8": "pass",
         }
 
+    def test_malformed_cap_raises(self, monkeypatch):
+        monkeypatch.setenv("ODDHOLES_EXACT_CAP", "abc")
+        g = generate_member(GenSpec(ClassSpec("A", 3), 30, 0.1, 1)).graph
+        with pytest.raises(GraphError, match="ODDHOLES_EXACT_CAP must be an integer"):
+            verify_graph(g, "A3_30_1.g6", ClassSpec("A", 3))
+
 
 class TestSpecsForFilename:
     def test_inference(self):
@@ -146,6 +153,20 @@ class TestReportShape:
         ]
         assert [r.filename for r in report.records] == ["G2_7_0.g6"]
         assert report.summary()["unreadable_files"] == 1
+
+    def test_not_a_directory(self, tmp_path):
+        regular = tmp_path / "x.el"
+        regular.write_text("0 1\n")
+        for target in (tmp_path / "missing", regular):
+            with pytest.raises(GraphError, match="is not a directory"):
+                verify_corpus(target)
+
+    def test_class_options_without_family(self, tmp_path):
+        (tmp_path / "c7.g6").write_text(to_graph6(cycle_graph(7)) + "\n")
+        with pytest.raises(GraphError, match="--ell requires --class"):
+            verify_corpus(tmp_path, ell=5)
+        with pytest.raises(GraphError, match="--seven-hole-free requires --class"):
+            verify_corpus(tmp_path, seven_hole_free=True)
 
 
 class TestG2LemmaFailures:
