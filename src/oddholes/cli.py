@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -155,13 +156,29 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.report:
         Path(args.report).write_text(text + "\n")
     summary = payload["summary"]
-    print(
+    line = (
         f"verified {summary['graphs']} graphs: {summary['pass']} pass, "
         f"{summary['fail']} fail, {summary['skip']} skip, "
-        f"{summary['timeout']} timeout, {summary['error']} error",
-        file=sys.stderr,
+        f"{summary['timeout']} timeout, {summary['error']} error"
     )
+    if summary["membership_timeout"]:
+        line += f", {summary['membership_timeout']} membership timeout"
+    print(line, file=sys.stderr)
     return 1 if report.has_failures else 0
+
+
+def _positive_seconds(text: str) -> float:
+    """A time budget: a positive finite number of seconds.  NaN would turn
+    every deadline off and zero or less would expire every one."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive finite number of seconds, got {text!r}"
+        )
+    return value
 
 
 def _add_class_flags(parser: argparse.ArgumentParser, required: bool) -> None:
@@ -231,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the property suite over a corpus directory")
     p.add_argument("dir")
     _add_class_flags(p, required=False)
-    p.add_argument("--timeout", type=float, default=30.0)
+    p.add_argument("--timeout", type=_positive_seconds, default=30.0)
     p.add_argument("--report", help="also write the JSON report to this path")
     p.set_defaults(fn=_cmd_verify)
 

@@ -24,6 +24,8 @@ pendant trees and the anchors that lie on no cycle above themselves.
 ``class_membership`` builds the pools once and every clause shares them.
 An exact-length search prunes by distance to the anchor, every other one
 by a free route back to the anchor that fits its length bound, if any.
+The long-odd-hole length scan also skips an anchor at every length below
+its shortest odd closed walk inside its pool.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .graph import (
     Graph,
     GraphError,
     bfs_distances,
+    bfs_levels,
     components,
     is_bipartite_subset,
     mask_vertices,
@@ -454,7 +457,10 @@ def find_long_odd_hole(
     holds every cycle whose least vertex is s); anchors outside their pool
     are skipped.  An existence pass finds some long odd hole; a length scan
     then tries each odd length upward, pruned by distances to s within the
-    pool.  Pools and distance maps are computed once per anchor.  Returns
+    pool.  At each length the scan skips the anchors whose shortest odd
+    closed walk in their pool is longer (Itai & Rodeh), and the anchors
+    whose pool is bipartite.  Pools are computed once per anchor, and the
+    distance map and walk bound once per anchor the scan reaches.  Returns
     None when no such hole exists (decided exhaustively up to the number
     of vertices).
     """
@@ -466,7 +472,9 @@ def _long_odd_hole(
 ) -> tuple[int, ...] | None:
     """``find_long_odd_hole`` over the pools of all vertices.  The 2-core
     splits over components, so masking them to the non-bipartite components
-    gives those components' own pools."""
+    gives those components' own pools.  The length scan skips only (length,
+    anchor) pairs with no hole, so the answer is the one an unskipped scan
+    gives."""
     min_len = max(min_len, 3)
     if min_len % 2 == 0:
         min_len += 1
@@ -485,14 +493,30 @@ def _long_odd_hole(
             break
     if upper is None:
         return None
-    dists: dict[int, dict[int, int]] = {}
+    # Per anchor: the length of its shortest odd closed walk in the pool
+    # (Itai & Rodeh), which bounds every odd cycle through it, and the
+    # distances that prune its searches.  Along a walk the BFS level moves
+    # by at most one per edge, so an odd one uses an edge inside some level
+    # d' and has at least 2d' + 1 edges; the first such level d gives one of
+    # exactly 2d + 1.  A pool with no such edge is bipartite, and its anchor
+    # is never searched.
+    scans: dict[int, tuple[int, dict[int, int]]] = {}
     for length in range(min_len, upper + 1, 2):
         for s, pool in pools:
-            if s not in dists:
-                dists[s] = bfs_distances(adj, 1 << s, pool)
+            if s not in scans:
+                levels = bfs_levels(adj, 1 << s, pool)
+                odd_walk = next(
+                    (2 * d + 1 for d, level in enumerate(levels)
+                     if any(adj[x] & level for x in mask_vertices(level))),
+                    upper + 2,
+                )
+                scans[s] = odd_walk, {v: d for d, level in enumerate(levels) for v in mask_vertices(level)}
+            odd_walk, dist = scans[s]
+            if odd_walk > length:
+                continue
             hits = list(
                 induced_cycle_search(
-                    adj, [s], floor=s, exact=length, allowed=pool, dist=dists[s], deadline=deadline
+                    adj, [s], floor=s, exact=length, allowed=pool, dist=dist, deadline=deadline
                 )
             )
             if hits:

@@ -133,6 +133,7 @@ class CorpusReport:
             "skip": statuses.count(SKIP),
             "timeout": statuses.count(TIMEOUT),
             "error": statuses.count(ERROR),
+            "membership_timeout": sum(1 for r in self.records if r.membership_status == TIMEOUT),
             "unreadable_files": len(self.file_errors),
         }
 

@@ -3,7 +3,11 @@ import json
 import pytest
 
 from oddholes import (
+    ClassSpec,
+    GenSpec,
+    corpus_filename,
     cycle_graph,
+    generate_member,
     grotzsch,
     petersen,
     to_edge_list,
@@ -194,6 +198,17 @@ class TestGenAndVerify:
             "verified 1 graphs: 7 pass, 0 fail, 0 skip, 0 timeout, 0 error"
         )
 
+    def test_verify_counts_membership_timeouts(self, tmp_path, capsys):
+        gs = GenSpec(ClassSpec("G", 2), 30, 0.1, 1)
+        write_g6(tmp_path / corpus_filename(gs), generate_member(gs).graph)
+        assert main(["verify", str(tmp_path), "--timeout", "1e-9"]) == 0
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["records"][0]["membership_status"] == "timeout"
+        assert payload["summary"]["membership_timeout"] == 1
+        assert payload["summary"]["timeout"] == 0
+        assert captured.err.strip().endswith("0 timeout, 0 error, 1 membership timeout")
+
     def test_verify_exit_1_on_failure(self, tmp_path, capsys, monkeypatch):
         import oddholes.cli as cli_mod
         from oddholes.verify import CorpusReport, GraphRecord, PropertyRecord
@@ -240,6 +255,13 @@ class TestUsageErrors:
         assert main([command, str(target), *flags]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.endswith(f"error: {message}\n")
+
+    @pytest.mark.parametrize("value", ["nan", "0", "-5"])
+    def test_verify_timeout_is_positive_and_finite(self, corpus_dir, capsys, value):
+        assert main(["verify", str(corpus_dir), "--timeout", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"expected a positive finite number of seconds, got '{value}'" in captured.err
 
     def test_malformed_exact_cap(self, corpus_dir, capsys, monkeypatch):
         monkeypatch.setenv("ODDHOLES_EXACT_CAP", "abc")

@@ -319,13 +319,13 @@ class SearchBudget(Deadline):
 
 
 class TestLongHoleWork:
-    """Long odd holes cost one exact-length search per odd length; anchor
-    pools and per-anchor distance maps keep that near L**2 checks."""
+    """The length scan skips each anchor at every length below its shortest
+    odd closed walk, so a long odd hole costs the existence pass and one
+    exact-length search at its own length, about 3L checks."""
 
     def test_c1001_in_g2(self):
-        # About 253k checks; one search per (length, anchor) with whole-graph
-        # distances runs past the limit.
-        budget = SearchBudget(400_000)
+        # 3,000 checks; 252,984 when every odd length from 9 was searched.
+        budget = SearchBudget(3_500)
         verdict = class_membership(cycle_graph(1001), ClassSpec("G", 2), budget)
         assert verdict.witness.kind == "long-odd-hole"
         assert verdict.witness.cycle == tuple(range(1001))
@@ -333,7 +333,7 @@ class TestLongHoleWork:
     def test_planted_c151_with_pendant_trees(self):
         import random
 
-        # About 6k checks (78k without anchor pools).
+        # 450 checks; 6,059 when every odd length from 9 was searched.
         rng = random.Random(151)
         length, n = 151, 302
         edges = [(i, (i + 1) % length) for i in range(length)]
@@ -341,7 +341,7 @@ class TestLongHoleWork:
         perm = list(range(n))
         rng.shuffle(perm)
         g = Graph(n, [(perm[u], perm[v]) for u, v in edges])
-        budget = SearchBudget(20_000)
+        budget = SearchBudget(1_000)
         verdict = class_membership(g, ClassSpec("G", 2), budget)
         cycle = verdict.witness.cycle
         assert set(cycle) == {perm[i] for i in range(length)}
@@ -389,9 +389,10 @@ class TestGirthWork:
         assert girth(g, SearchBudget(4)) == 1001
 
     def test_planted_c1001_in_g2(self):
-        # About 253k checks, nearly all in the long-odd-hole length scan.
+        # 3,000 checks; 252,984 when the length scan searched every odd
+        # length from 9.
         g, hole = planted_odd_hole(1001, 1001)
-        verdict = class_membership(g, ClassSpec("G", 2), SearchBudget(260_000))
+        verdict = class_membership(g, ClassSpec("G", 2), SearchBudget(3_500))
         assert verdict.witness.kind == "long-odd-hole"
         assert set(verdict.witness.cycle) == hole
 
@@ -449,6 +450,43 @@ class TestAgainstNetworkx:
             bound = len(hole) if hole is not None else None
             odd = odd_lengths(nx.chordless_cycles(nxg, length_bound=bound))
         assert (None if hole is None else len(hole)) == (min(odd) if odd else None)
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_least_long_odd_hole_among_planted_holes(self, seed):
+        # Three odd cycles of distinct lengths joined in a ring by paths,
+        # plus two random chords: odd holes of several lengths, which the
+        # length scan must tell apart anchor by anchor.
+        import random
+
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(seed)
+        edges, n, cycles = [], 0, []
+        for length in rng.sample((5, 7, 9, 11, 13, 15), 3):
+            cycles.append(range(n, n + length))
+            edges += [(n + i, n + (i + 1) % length) for i in range(length)]
+            n += length
+        for a, b in zip(cycles, cycles[1:] + cycles[:1]):
+            u = rng.choice(a)
+            for _ in range(rng.randrange(3)):
+                edges.append((u, n))
+                u, n = n, n + 1
+            edges.append((u, rng.choice(b)))
+        edges += [tuple(rng.sample(range(n), 2)) for _ in range(2)]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        g = Graph(n, [(perm[u], perm[v]) for u, v in edges])
+        nxg = nx.Graph(g.edges())
+
+        def canonical(cyc):
+            i = cyc.index(min(cyc))
+            cyc = cyc[i:] + cyc[:i]
+            return tuple(cyc) if cyc[1] < cyc[-1] else (cyc[0], *reversed(cyc[1:]))
+
+        odd = sorted((len(c), canonical(c)) for c in nx.chordless_cycles(nxg) if len(c) % 2)
+        assert len({length for length, _ in odd if length >= 5}) >= 3
+        for k in (5, 7, 9, 11):
+            expected = next((cyc for length, cyc in odd if length >= k), None)
+            assert find_long_odd_hole(g, k) == expected, k
 
 
 class TestClassMembership:

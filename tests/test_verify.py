@@ -132,6 +132,14 @@ class TestReportShape:
         failing = payload["records"][0]["properties"][1]
         assert failing["witness"] == {"cycle": [0, 1, 2]}
 
+    def test_membership_timeouts_are_counted(self):
+        report = CorpusReport()
+        report.records.append(GraphRecord("a.g6", 3, 2, "G", 2, None, membership_status="timeout"))
+        report.records.append(GraphRecord("b.g6", 3, 3, "G", 2, False))
+        summary = report.summary()
+        assert summary["membership_timeout"] == 1
+        assert summary["timeout"] == 0 and not report.has_failures
+
     def test_corpus_directory_run(self, tmp_path):
         d = tmp_path / "corpus"
         d.mkdir()
